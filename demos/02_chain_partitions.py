@@ -2,8 +2,8 @@
 
 For every poset there is a partition lambda(P) whose first k parts sum to
 the largest number of elements coverable by k chains, and whose conjugate
-does the same for antichains.  The engine computes it by augmenting a
-profit flow one chain at a time.
+does the same for antichains.  The engine computes it with a profit flow
+sent in phases, each phase adding every chain of the same marginal gain.
 """
 
 from tamari import (

@@ -1,17 +1,24 @@
-"""Minimum-cost flow by successive shortest augmenting paths with potentials.
+"""Minimum-cost flow by primal-dual phases with potentials.
 
 Arcs are stored in pairs: arc ``2k`` is the forward arc, arc ``2k+1`` its
 zero-capacity residual reverse.  The solver assumes an acyclic network whose
 only negative costs sit on forward arcs, which is all the chain-packing
 reduction needs: one exact single-pass relaxation in topological node order
-establishes initial potentials, and every later augmentation runs Dijkstra
-on reduced costs (nonnegative by the usual invariant).  All costs and
+establishes initial potentials.
+
+Each phase then runs one Dijkstra on reduced costs (nonnegative by the usual
+invariant), which advances the potentials so that every cheapest s->t path
+uses only arcs of zero reduced cost, followed by a maximum flow on that
+zero-reduced-cost residual subgraph (Ahuja, Magnanti & Orlin, *Network
+Flows*, 1993, ch. 9).  Every unit sent in one phase has the same cost, and
+after the phase the cheapest s->t cost has strictly risen.  All costs and
 capacities are integers, so the computed flows are exactly integral.
 """
 
 from __future__ import annotations
 
 import heapq
+from collections import deque
 
 _UNREACHED = float("inf")
 
@@ -58,57 +65,115 @@ class MinCostFlow:
                     dist[v] = nd
         self.potential = dist
 
-    def cheapest_path(self, s: int, t: int) -> tuple[int, list[int]] | None:
-        """Dijkstra on reduced costs; returns (original cost, arc list) or None.
+    def cheapest_path(self, s: int, t: int) -> int | None:
+        """Dijkstra on reduced costs; returns the cheapest s->t cost, or None.
 
-        Potentials are advanced by the computed distances, which is valid
-        whether or not the caller then applies the path (the residual graph
-        is unchanged until :meth:`apply_path` runs).
+        The potentials are advanced by the computed distances (capped at the
+        distance of ``t``), which keeps every reduced cost nonnegative and
+        makes every cheapest s->t path consist of zero-reduced-cost arcs,
+        ready for :meth:`push_phase`.
         """
         pi = self.potential
         if pi is None:
             raise RuntimeError("init_potentials must run before augmenting")
+        adj, to, cap, cost = self.adj, self.to, self.cap, self.cost
         dist = [_UNREACHED] * self.n
         dist[s] = 0.0
-        prev = [-1] * self.n
         heap: list[tuple[float, int]] = [(0.0, s)]
         while heap:
             d, u = heapq.heappop(heap)
+            if u == t:
+                break  # every node still queued would be capped at d anyway
             if d > dist[u]:
                 continue
-            for a in self.adj[u]:
-                if self.cap[a] <= 0:
+            base = d + pi[u]
+            for a in adj[u]:
+                if cap[a] <= 0:
                     continue
-                v = self.to[a]
-                nd = d + self.cost[a] + pi[u] - pi[v]
+                v = to[a]
+                nd = base + cost[a] - pi[v]
                 if nd < dist[v]:
                     dist[v] = nd
-                    prev[v] = a
                     heapq.heappush(heap, (nd, v))
-        if dist[t] == _UNREACHED:
-            return None
         dt = dist[t]
+        if dt == _UNREACHED:
+            return None
         for v in range(self.n):
             pi[v] += dist[v] if dist[v] < dt else dt
-        arcs: list[int] = []
-        v = t
-        while v != s:
-            a = prev[v]
-            arcs.append(a)
-            v = self.to[a ^ 1]
-        arcs.reverse()
-        return sum(self.cost[a] for a in arcs), arcs
+        return int(pi[t] - pi[s])
 
-    def apply_path(self, arcs: list[int]) -> None:
-        for a in arcs:
-            self.cap[a] -= 1
-            self.cap[a ^ 1] += 1
+    def push_phase(self, s: int, t: int, limit: int) -> int:
+        """Send at most ``limit`` units over zero-reduced-cost residual arcs.
 
-    def augment_unit(self, s: int, t: int) -> int | None:
-        """Send one unit along a cheapest s->t path; return its original cost."""
-        found = self.cheapest_path(s, t)
-        if found is None:
-            return None
-        cost, arcs = found
-        self.apply_path(arcs)
-        return cost
+        Repeats a level-graph BFS and a blocking-flow DFS until ``t`` is
+        unreachable or ``limit`` units are sent, so short of the limit the
+        result is a maximum flow on the zero-reduced-cost subgraph.  Reverse
+        arcs created by the pushes also have zero reduced cost, so they take
+        part in later rounds.  Returns the number of units sent.
+        """
+        pi = self.potential
+        if pi is None:
+            raise RuntimeError("init_potentials must run before augmenting")
+        to, cap, cost = self.to, self.cap, self.cost
+        zero = [[a for a in arcs if cost[a] + pi[u] == pi[to[a]]]
+                for u, arcs in enumerate(self.adj)]
+        sent = 0
+        while sent < limit:
+            level = self._levels(zero, s, t)
+            if level[t] < 0:
+                break
+            sent += self._blocking_flow(zero, level, s, t, limit - sent)
+        return sent
+
+    def _levels(self, zero: list[list[int]], s: int, t: int) -> list[int]:
+        """BFS distances (in arcs) from s over residual arcs in ``zero``, up to t's."""
+        to, cap = self.to, self.cap
+        level = [-1] * self.n
+        level[s] = 0
+        queue = deque([s])
+        while queue:
+            u = queue.popleft()
+            if level[t] >= 0 and level[u] >= level[t]:
+                break
+            nxt = level[u] + 1
+            for a in zero[u]:
+                v = to[a]
+                if level[v] < 0 and cap[a] > 0:
+                    level[v] = nxt
+                    queue.append(v)
+        return level
+
+    def _blocking_flow(self, zero: list[list[int]], level: list[int], s: int, t: int,
+                       limit: int) -> int:
+        """Iterative DFS with current-arc pointers along level-increasing arcs."""
+        to, cap = self.to, self.cap
+        pointer = [0] * self.n
+        path: list[int] = []
+        sent = 0
+        u = s
+        while sent < limit:
+            if u == t:
+                push = min(limit - sent, min(cap[a] for a in path))
+                for a in path:
+                    cap[a] -= push
+                    cap[a ^ 1] += push
+                sent += push
+                path.clear()
+                u = s
+                continue
+            arcs = zero[u]
+            nxt = level[u] + 1
+            for i in range(pointer[u], len(arcs)):
+                a = arcs[i]
+                if cap[a] > 0 and level[to[a]] == nxt:
+                    pointer[u] = i
+                    path.append(a)
+                    u = to[a]
+                    break
+            else:
+                if u == s:
+                    break
+                level[u] = -1  # dead end for the rest of this round
+                u = to[path.pop() ^ 1]
+                pointer[u] += 1
+        return sent

@@ -2,17 +2,20 @@
 
 The chain side is a profit-flow reduction.  Each element v is split into
 v_in -> v_out with a capacity-one, profit-one arc plus a free bypass of
-unlimited capacity; u_out -> v_in arcs exist for every strict relation
-u < v (not just covers, so later units can skip saturated elements); the
-source feeds every v_in and every v_out reaches the sink.  Sending k units
-of maximum-profit flow (min-cost flow with unit profits negated) collects
-exactly the maximum number of elements coverable by k chains, and the flow
-decomposes into k paths whose collected elements are the chains.
+unlimited capacity; u_out -> v_in arcs exist for every cover u < v (the
+bypass lets a unit pass through an element another unit already collected,
+so covers reach every strict relation); the source feeds every v_in and
+every v_out reaches the sink.  Sending k units of maximum-profit flow
+(min-cost flow with unit profits negated) collects exactly the maximum
+number of elements coverable by k chains, and the flow decomposes into k
+paths whose collected elements are the chains.
 
-Marginal profits of successive augmentations are the parts of the
-Greene-Kleitman partition; its conjugate certifies the antichain totals.
-Exhaustive oracles for small posets live here too, so every flow answer can
-be cross-checked by an independent search.
+The flow runs in primal-dual phases: each phase sends every unit of the
+current largest marginal profit at once.  Marginal profits are the parts of
+the Greene-Kleitman partition, a phase of ``m`` units adding ``m`` equal
+parts; its conjugate certifies the antichain totals.  Exhaustive oracles
+for small posets live here too, so every flow answer can be cross-checked
+by an independent search.
 """
 
 from __future__ import annotations
@@ -87,6 +90,7 @@ class _ChainNetwork:
     def __init__(self, p: Poset):
         order = p.topological_order()
         n = p.n
+        rank = {v: r for r, v in enumerate(order)}
         net = MinCostFlow(2 + 2 * n)
         profit: list[int] = []
         for r in range(n):
@@ -94,12 +98,8 @@ class _ChainNetwork:
             profit.append(net.add_arc(2 + 2 * r, 3 + 2 * r, 1, -1))
             net.add_arc(2 + 2 * r, 3 + 2 * r, _BIG, 0)  # free bypass
             net.add_arc(3 + 2 * r, self.T, _BIG, 0)
-        lt = p.strict_matrix
-        for ri in range(n):
-            oi = order[ri]
-            for rj in range(ri + 1, n):
-                if lt[oi, order[rj]]:
-                    net.add_arc(3 + 2 * ri, 2 + 2 * rj, _BIG, 0)
+        for ru, rv in sorted((rank[u], rank[v]) for u, v in p.covers):
+            net.add_arc(3 + 2 * ru, 2 + 2 * rv, _BIG, 0)
         topo_nodes = [self.S]
         for r in range(n):
             topo_nodes.append(2 + 2 * r)
@@ -110,22 +110,28 @@ class _ChainNetwork:
         self.order = order
         self.profit_arcs = profit
 
-    def augment(self, require_gain: bool = False) -> int | None:
-        """One more unit of flow; returns the number of newly collected elements.
+    def phase(self, limit: int) -> tuple[int, int]:
+        """One primal-dual phase: (marginal gain per unit, units sent).
 
-        With ``require_gain``, a unit that would collect nothing is not sent
-        at all and None is returned; marginals are weakly decreasing, so no
-        later unit could collect anything either.  Keeping zero-profit units
-        out of the flow guarantees every decomposed path is nonempty.
+        At most ``limit`` units are sent, each collecting ``gain`` new
+        elements.  A phase that would collect nothing (gain <= 0) sends no
+        unit at all; marginals are weakly decreasing, so no later phase
+        could collect anything either.  Keeping zero-profit units out of the
+        flow guarantees every decomposed path is nonempty.
         """
-        found = self.net.cheapest_path(self.S, self.T)
-        if found is None:
+        cost = self.net.cheapest_path(self.S, self.T)
+        if cost is None:
             raise RuntimeError("flow network unexpectedly disconnected")
-        cost, arcs = found
-        if require_gain and cost >= 0:
-            return None
-        self.net.apply_path(arcs)
-        return -cost
+        if cost >= 0:
+            return -cost, 0
+        sent = self.net.push_phase(self.S, self.T, limit)
+        if sent < 1:
+            raise RuntimeError("a profitable phase sent no flow")
+        return -cost, sent
+
+    def augment(self) -> tuple[int, int]:
+        """A single unit: the phase capped at one."""
+        return self.phase(1)
 
     def decompose(self, k: int) -> list[list[int]]:
         """Peel the k unit paths off the flow; chains as original element indices."""
@@ -162,12 +168,12 @@ def max_chain_union(p: Poset, k: int) -> ChainFamily:
     network = _ChainNetwork(p)
     total = 0
     units = 0
-    for _ in range(k):
-        gain = network.augment(require_gain=True)
-        if gain is None:
+    while units < k:
+        gain, sent = network.phase(k - units)
+        if not sent:
             break
-        total += gain
-        units += 1
+        total += gain * sent
+        units += sent
     chains = network.decompose(units)
     if total != sum(len(c) for c in chains) or any(not c for c in chains):
         raise RuntimeError("flow decomposition lost elements")
@@ -182,38 +188,37 @@ def chain_union_sizes(p: Poset, k: int) -> list[int]:
     network = _ChainNetwork(p)
     sizes: list[int] = []
     total = 0
-    growing = True
     while len(sizes) < k:
-        if growing:
-            gain = network.augment(require_gain=True)
-            if gain is None:
-                growing = False  # marginals hit zero; the totals plateau
-            else:
-                total += gain
-        sizes.append(total)
+        gain, sent = network.phase(k - len(sizes))
+        if not sent:
+            break  # marginals hit zero; the totals plateau
+        for _ in range(sent):
+            total += gain
+            sizes.append(total)
+    sizes.extend([total] * (k - len(sizes)))
     return sizes
 
 
 def gk_partition(p: Poset) -> GKPartition:
     """The full Greene-Kleitman partition of the poset.
 
-    Successive augmentations stay optimal at every intermediate k, so the
-    marginal profits are exactly the parts; the run stops once every element
-    is collected.  Violations of the guaranteed shape (positive, weakly
-    decreasing marginals, first part = longest chain size) are internal
-    errors, not data.
+    The flow stays optimal at every intermediate number of units, so the
+    marginal profits are exactly the parts, one phase per distinct part; the
+    run stops once every element is collected.  Violations of the
+    guaranteed shape (positive, weakly decreasing marginals, first part =
+    longest chain size) are internal errors, not data.
     """
     network = _ChainNetwork(p)
     parts: list[int] = []
     covered = 0
     while covered < p.n:
-        gain = network.augment()
+        gain, sent = network.phase(p.n - covered)
         if gain <= 0:
             raise RuntimeError("flow produced a nonpositive marginal before covering")
         if parts and gain > parts[-1]:
             raise RuntimeError("flow marginals are not weakly decreasing")
-        parts.append(gain)
-        covered += gain
+        parts.extend([gain] * sent)
+        covered += gain * sent
     result = GKPartition(tuple(parts))
     if result.parts[0] != p.longest_chain_length() + 1:
         raise RuntimeError("first part disagrees with the level structure")

@@ -1,0 +1,145 @@
+"""The phase-based chain engine: recorded partitions, network shape, and a
+networkx cross-check on posets beyond the exhaustive oracle's cap."""
+
+import random
+from itertools import accumulate
+
+import networkx as nx
+import numpy as np
+import pytest
+
+from conftest import check_chain_family, random_poset
+from tamari import ChainFamily, chain_union_sizes, gk_partition, max_chain_union, tamari_poset
+from tamari.flow import MinCostFlow
+from tamari.gk import _ChainNetwork
+
+
+def _expand(runs: list[tuple[int, int]]) -> tuple[int, ...]:
+    """A partition from (part, multiplicity) runs."""
+    return tuple(part for part, count in runs for _ in range(count))
+
+
+# Partitions recorded from the successive-shortest-path engine over the
+# strict-relation network, which ran one Dijkstra per unit of flow.
+RECORDED = {
+    ("b", 5): [(26, 1), (21, 1), (18, 1), (16, 1), (15, 1), (14, 1), (13, 1), (11, 2), (9, 2),
+               (8, 3), (7, 1), (6, 3), (5, 4), (3, 4), (2, 2), (1, 4)],
+    ("b", 6): [(37, 1), (32, 1), (29, 1), (27, 1), (26, 1), (25, 1), (24, 1), (23, 2), (21, 1),
+               (20, 1), (19, 3), (18, 1), (16, 2), (15, 2), (14, 5), (13, 3), (12, 6), (11, 2),
+               (10, 2), (9, 4), (8, 5), (7, 8), (6, 6), (5, 8), (4, 10), (3, 5), (2, 5), (1, 4)],
+    ("a", 7): [(22, 1), (18, 1), (16, 1), (15, 1), (14, 3), (12, 3), (11, 1), (10, 5), (9, 3),
+               (8, 5), (7, 5), (6, 3), (5, 7), (4, 9), (3, 7), (2, 1), (1, 5)],
+    ("b", 7): [(50, 1), (45, 1), (42, 1), (40, 1), (39, 1), (37, 1), (36, 2), (35, 1), (34, 2),
+               (33, 2), (32, 1), (31, 2), (30, 1), (29, 3), (28, 1), (27, 4), (26, 2), (25, 4),
+               (24, 3), (23, 7), (22, 4), (21, 7), (19, 5), (18, 3), (17, 11), (16, 7), (15, 4),
+               (14, 8), (13, 13), (12, 18), (11, 8), (10, 15), (9, 9), (8, 21), (7, 8), (6, 26),
+               (5, 17), (4, 24), (3, 17), (2, 15), (1, 5)],
+}
+
+
+@pytest.mark.parametrize("kind,n", sorted(RECORDED))
+def test_partition_matches_record(kind, n):
+    parts = gk_partition(tamari_poset(kind, n)).parts
+    assert parts == _expand(RECORDED[kind, n])
+
+
+def test_one_dijkstra_per_distinct_part(monkeypatch):
+    """Each phase is a maximum flow, so no part value needs a second pass."""
+    passes = []
+    cheapest_path = MinCostFlow.cheapest_path
+
+    def counted(self, s, t):
+        passes.append(s)
+        return cheapest_path(self, s, t)
+
+    monkeypatch.setattr(MinCostFlow, "cheapest_path", counted)
+    parts = gk_partition(tamari_poset("b", 5)).parts
+    assert len(passes) == len(set(parts)) == 16
+
+
+def test_limit_cuts_phases_mid_run():
+    """k = 9 and k = 11 stop inside the repeated parts 2, 2 and 1, 1."""
+    parts = (17, 12, 9, 8, 6, 5, 4, 3, 2, 2, 1, 1)
+    prefixes = list(accumulate(parts))
+    p = tamari_poset("b", 4)
+    assert chain_union_sizes(p, 12) == prefixes
+    assert chain_union_sizes(p, 14) == prefixes + [70, 70]
+    for k in (9, 11):
+        assert chain_union_sizes(p, k) == prefixes[:k]
+        fam = max_chain_union(p, k)
+        check_chain_family(p, fam)
+        assert fam.total == prefixes[k - 1]
+
+
+def test_network_has_cover_arcs_only():
+    p = tamari_poset("b", 5)
+    net = _ChainNetwork(p).net
+    assert len(p.covers) == 630
+    assert len(net.to) // 2 == 4 * 252 + 630
+
+
+def test_full_phases_keep_unit_arcs_binary():
+    p = tamari_poset("b", 4)
+    network = _ChainNetwork(p)
+    units = 0
+    while True:
+        gain, sent = network.phase(p.n)
+        if not sent:
+            break
+        units += sent
+    flows = [network.net.flow_on(a) for a in network.profit_arcs]
+    assert set(flows) == {1}
+    assert units == 12
+    chains = network.decompose(units)
+    check_chain_family(p, ChainFamily(tuple(map(tuple, chains)), p.n))
+    fam = max_chain_union(p, 5)
+    check_chain_family(p, fam)
+    assert fam.total == 17 + 12 + 9 + 8 + 6
+
+
+# -- networkx cross-check ------------------------------------------------------
+
+
+def _networkx_chain_union(p, k: int) -> int:
+    """Max k-chain union from networkx's network simplex.
+
+    Built independently of the library: each element is split into in/out
+    nodes joined by a unit-capacity arc of cost -1 plus a free bypass, and
+    every strict relation of ``leq_matrix`` (not only covers) gets a free
+    out -> in arc.  Exactly k units go from source to sink; units that
+    collect nothing take a free path, so the optimum is minus the answer.
+    """
+    lt = p.leq_matrix & ~np.eye(p.n, dtype=bool)
+    g = nx.MultiDiGraph()
+    g.add_node("s", demand=-k)
+    g.add_node("t", demand=k)
+    for v in range(p.n):
+        g.add_edge("s", ("in", v), weight=0)
+        g.add_edge(("in", v), ("out", v), weight=-1, capacity=1)
+        g.add_edge(("in", v), ("out", v), weight=0)
+        g.add_edge(("out", v), "t", weight=0)
+    for u, v in np.argwhere(lt):
+        g.add_edge(("out", int(u)), ("in", int(v)), weight=0)
+    cost, _ = nx.network_simplex(g)
+    return -cost
+
+
+def _cross_check(p) -> None:
+    sizes = chain_union_sizes(p, 3)
+    part = gk_partition(p)
+    for k in (1, 2, 3):
+        expected = _networkx_chain_union(p, k)
+        assert sizes[k - 1] == expected
+        assert part.prefix(k) == expected
+        assert max_chain_union(p, k).total == expected
+
+
+def test_networkx_agrees_on_random_posets_beyond_oracle_cap():
+    rng = random.Random(4242)
+    for _ in range(12):
+        p = random_poset(rng, rng.randint(25, 60), rng.choice([0.05, 0.1, 0.2]))
+        _cross_check(p)
+
+
+def test_networkx_agrees_on_t4b():
+    _cross_check(tamari_poset("b", 4))
