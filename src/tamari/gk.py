@@ -13,16 +13,18 @@ paths whose collected elements are the chains.
 The flow runs in primal-dual phases: each phase sends every unit of the
 current largest marginal profit at once.  Marginal profits are the parts of
 the Greene-Kleitman partition, a phase of ``m`` units adding ``m`` equal
-parts; its conjugate certifies the antichain totals.  Exhaustive oracles
-for small posets live here too, so every flow answer can be cross-checked
-by an independent search.
+parts; its conjugate certifies the antichain totals.
+
+The antichain side uses the same flow: stopped once the marginal gain falls
+to k, its node potentials (the dual solution) split into level sets that
+form a maximum union of k antichains.  Exhaustive oracles for small posets
+live here too, so every flow answer can be cross-checked by an independent
+search.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
 
 from .flow import MinCostFlow
 from .poset import Poset
@@ -110,19 +112,19 @@ class _ChainNetwork:
         self.order = order
         self.profit_arcs = profit
 
-    def phase(self, limit: int) -> tuple[int, int]:
+    def phase(self, limit: int, floor: int = 0) -> tuple[int, int]:
         """One primal-dual phase: (marginal gain per unit, units sent).
 
         At most ``limit`` units are sent, each collecting ``gain`` new
-        elements.  A phase that would collect nothing (gain <= 0) sends no
-        unit at all; marginals are weakly decreasing, so no later phase
-        could collect anything either.  Keeping zero-profit units out of the
-        flow guarantees every decomposed path is nonempty.
+        elements.  A phase whose gain is at most ``floor`` sends no unit at
+        all; marginals are weakly decreasing, so no later phase could gain
+        more either.  The default keeps zero-profit units out of the flow,
+        which guarantees every decomposed path is nonempty.
         """
         cost = self.net.cheapest_path(self.S, self.T)
         if cost is None:
             raise RuntimeError("flow network unexpectedly disconnected")
-        if cost >= 0:
+        if -cost <= floor:
             return -cost, 0
         sent = self.net.push_phase(self.S, self.T, limit)
         if sent < 1:
@@ -228,128 +230,40 @@ def gk_partition(p: Poset) -> GKPartition:
 # -- antichain side ------------------------------------------------------------
 
 
-def _max_antichain_matching(p: Poset) -> list[int]:
-    """A maximum antichain via bipartite matching and a Koenig cover.
-
-    Minimum chain partitions correspond to maximum matchings on the strict
-    relation; the elements whose two copies both avoid the minimum vertex
-    cover form an antichain of exactly the complementary size.
-    """
-    from scipy.sparse import csr_matrix
-    from scipy.sparse.csgraph import maximum_bipartite_matching
-
-    n = p.n
-    lt = p.strict_matrix
-    if not lt.any():
-        return list(range(n))
-    match_left = [-1] * n
-    match_right = [-1] * n
-    row_of_col = maximum_bipartite_matching(csr_matrix(lt), perm_type="row")
-    for v in range(n):
-        u = int(row_of_col[v])
-        if u != -1:
-            match_left[u] = v
-            match_right[v] = u
-    adj = [list(map(int, np.nonzero(lt[u])[0])) for u in range(n)]
-    in_z_left = [match_left[u] == -1 for u in range(n)]
-    in_z_right = [False] * n
-    queue = [u for u in range(n) if in_z_left[u]]
-    while queue:
-        u = queue.pop()
-        for v in adj[u]:
-            if not in_z_right[v]:
-                in_z_right[v] = True
-                w = match_right[v]
-                if w != -1 and not in_z_left[w]:
-                    in_z_left[w] = True
-                    queue.append(w)
-    antichain = [v for v in range(n) if in_z_left[v] and not in_z_right[v]]
-    matched = sum(1 for u in range(n) if match_left[u] != -1)
-    if len(antichain) != n - matched:
-        raise RuntimeError("Koenig construction out of balance")
-    return antichain
-
-
-def _bounded_height_subset(p: Poset, k: int, target: int, start: set[int]) -> set[int]:
-    """Largest subset with no chain of k+1 elements, stopping at ``target``.
-
-    Depth-first include/exclude over a linear extension; the depth of each
-    selected element (longest selected chain ending there) may not exceed k.
-    ``target`` is certified reachable by the conjugate partition, so the
-    search acts as a repair step for the greedy start, not a gamble.
-    """
-    order = p.topological_order()
-    lt = p.strict_matrix
-    n = p.n
-    best = set(start)
-
-    selected: list[int] = []
-    depths: list[int] = []
-
-    def dfs(pos: int) -> bool:
-        nonlocal best
-        if len(selected) > len(best):
-            best = set(selected)
-            if len(best) >= target:
-                return True
-        if pos == n or len(selected) + (n - pos) <= len(best):
-            return len(best) >= target
-        e = order[pos]
-        depth = 1
-        for v, dv in zip(selected, depths):
-            if dv >= depth and lt[v, e]:
-                depth = dv + 1
-        if depth <= k:
-            selected.append(e)
-            depths.append(depth)
-            if dfs(pos + 1):
-                return True
-            selected.pop()
-            depths.pop()
-        return dfs(pos + 1)
-
-    if len(best) < target:
-        dfs(0)
-    if len(best) < target:
-        raise RuntimeError("height-bounded search missed the certified total")
-    return best
-
-
-def _split_by_height(p: Poset, members: set[int], k: int) -> list[list[int]]:
-    """Partition a height-<=k subset into at most k antichains by inner level."""
-    lt = p.strict_matrix
-    order = [v for v in p.topological_order() if v in members]
-    level: dict[int, int] = {}
-    for v in order:
-        level[v] = 1 + max((level[u] for u in order if u in level and lt[u, v]), default=-1)
-    fibers: list[list[int]] = [[] for _ in range(k)]
-    for v in sorted(members):
-        fibers[level[v]].append(v)
-    return fibers
-
-
 def max_antichain_union(p: Poset, k: int) -> AntichainFamily:
-    """A union of k disjoint antichains achieving the certified maximum.
+    """A maximum-size union of k disjoint antichains, read off the chain flow.
 
-    The total is the contract: it equals the sum of the first k parts of the
-    conjugate of the Greene-Kleitman partition.  The family itself is built
-    greedily from level fibers and repaired by search when the greedy pick
-    falls short; for k = 1 a matching-based maximum antichain is used
-    directly.  Intended for posets up to a few hundred elements when k >= 2.
+    The chain flow runs its phases while the marginal gain exceeds k.  The
+    potentials of the last Dijkstra, capped so that the source-sink gain is
+    exactly k, stay a valid dual of the final flow, and their level sets are
+    an optimal antichain family (A. Frank, *JCT B* 29, 1980): an element
+    belongs to the union iff its in-node sits at least one above its
+    out-node, and members sharing the in-node potential form one antichain.
+    For u < v the cover and bypass arcs force ``pi[v_in] <= pi[u_out]``,
+    which is below ``pi[u_in]`` for a member u, so comparable members never
+    share a group; member potentials lie in a window of k integers.  The total is the contract: it equals the sum
+    of the first k parts of the conjugate of the Greene-Kleitman partition.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
-    conj = gk_partition(p).conjugate()
-    target = sum(conj[:k])
-    if k == 1:
-        chosen = [sorted(_max_antichain_matching(p))]
-    else:
-        fibers = sorted(p.level_map("lowest").fibers().values(), key=len, reverse=True)
-        start = set().union(*fibers[:k]) if fibers else set()
-        members = _bounded_height_subset(p, k, target, start)
-        chosen = [f for f in _split_by_height(p, members, k) if f]
+    network = _ChainNetwork(p)
+    sent = 1
+    while sent:
+        before = list(network.net.potential)
+        _, sent = network.phase(p.n, floor=k)
+    # ``before`` (gain above k) and the advanced potentials (gain at most k)
+    # are both duals of the final flow; capping the advance in between keeps
+    # a dual whose gain is exactly k
+    cap = max(0, before[network.S] - before[network.T] - k)
+    pi_k = [b + min(x - b, cap) for b, x in zip(before, network.net.potential)]
+    groups: dict[float, list[int]] = {}
+    for r, v in enumerate(network.order):
+        if pi_k[2 + 2 * r] - pi_k[3 + 2 * r] >= 1:
+            groups.setdefault(pi_k[2 + 2 * r], []).append(v)
+    # potentials fall going up the order, so the lowest antichain comes first
+    chosen = [sorted(groups[key]) for key in sorted(groups, reverse=True)]
     total = sum(len(a) for a in chosen)
-    if total != target:
+    if len(chosen) > k or total != sum(gk_partition(p).conjugate()[:k]):
         raise RuntimeError("constructed antichain family misses the certified total")
     while len(chosen) < k:
         chosen.append([])

@@ -10,7 +10,6 @@ between threads; target sizes are a few thousand elements at most.
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Iterable, Sequence
@@ -82,9 +81,9 @@ class LevelAssignment:
 
     def fibers(self) -> dict[int, list[int]]:
         out: dict[int, list[int]] = {}
-        for lv in sorted(set(self.levels)):
-            out[lv] = [i for i, l in enumerate(self.levels) if l == lv]
-        return out
+        for i, lv in enumerate(self.levels):
+            out.setdefault(lv, []).append(i)
+        return dict(sorted(out.items()))
 
 
 @dataclass(frozen=True)
@@ -340,32 +339,36 @@ def find_isomorphism(p: Poset, q: Poset) -> list[int] | None:
     used = [False] * q.n
     mapped: list[int] = []
 
-    sys.setrecursionlimit(max(sys.getrecursionlimit(), 2 * p.n + 200))
-
-    def place(d: int) -> bool:
+    # stack[d]: index of the next candidate to try for order[d]
+    stack = [0]
+    while stack:
+        d = len(mapped)
         if d == len(order):
-            return True
+            return mapping
         u = order[d]
-        mp = mapping
-        for x in candidates.get(pc[u], ()):
+        cands = candidates.get(pc[u], ())
+        tgt = [mapping[v] for v in mapped]
+        for i in range(stack[-1], len(cands)):
+            x = cands[i]
             if used[x]:
                 continue
-            tgt = [mp[v] for v in mapped]
             if not np.array_equal(pm[u, mapped], qm[x, tgt]):
                 continue
             if not np.array_equal(pm[mapped, u], qm[tgt, x]):
                 continue
+            stack[-1] = i + 1
             mapping[u] = x
             used[x] = True
             mapped.append(u)
-            if place(d + 1):
-                return True
-            mapped.pop()
-            used[x] = False
-            mapping[u] = -1
-        return False
-
-    return mapping if place(0) else None
+            stack.append(0)
+            break
+        else:
+            stack.pop()
+            if mapped:  # undo the choice one level up
+                v = mapped.pop()
+                used[mapping[v]] = False
+                mapping[v] = -1
+    return None
 
 
 def is_isomorphic(p: Poset, q: Poset) -> bool:

@@ -1,4 +1,5 @@
 import random
+import sys
 
 import numpy as np
 import pytest
@@ -230,3 +231,12 @@ def test_from_covers_round_trip():
         p = random_poset(rng, rng.randint(1, 8))
         q = Poset.from_covers(p.labels, p.covers)
         assert (q.leq_matrix == p.leq_matrix).all()
+
+
+def test_isomorphism_of_long_chain_keeps_recursion_limit():
+    n = 1500
+    chain = Poset(list(range(n)), np.triu(np.ones((n, n), dtype=bool)))
+    limit = sys.getrecursionlimit()
+    mapping = find_isomorphism(chain, chain.dual())
+    assert sys.getrecursionlimit() == limit
+    assert mapping == list(range(n - 1, -1, -1))
