@@ -241,8 +241,9 @@ def max_antichain_union(p: Poset, k: int) -> AntichainFamily:
     out-node, and members sharing the in-node potential form one antichain.
     For u < v the cover and bypass arcs force ``pi[v_in] <= pi[u_out]``,
     which is below ``pi[u_in]`` for a member u, so comparable members never
-    share a group; member potentials lie in a window of k integers.  The total is the contract: it equals the sum
-    of the first k parts of the conjugate of the Greene-Kleitman partition.
+    share a group; member potentials lie in a window of k integers.  The
+    total is the contract: it equals the sum of the first k parts of the
+    conjugate of the Greene-Kleitman partition.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
