@@ -11,6 +11,8 @@ from __future__ import annotations
 import json
 from typing import Mapping
 
+import numpy as np
+
 from .elements import format_vector
 from .poset import LevelAssignment, Poset
 
@@ -76,12 +78,15 @@ def document_to_poset(doc: Mapping) -> Poset:
         for key, lv in levels.items():
             fibers.setdefault(int(lv), []).append(int(key))
         for members in fibers.values():
-            for a in members:
-                for b in members:
-                    if a != b and p.leq(a, b):
-                        raise ValueError(
-                            f"level fiber is not an antichain: {labels[a]!r} <= {labels[b]!r}"
-                        )
+            if len(members) < 2:
+                continue
+            idx = np.array(members)
+            bad = p.leq_matrix[np.ix_(idx, idx)] & (idx[:, None] != idx[None, :])
+            if bad.any():
+                i, j = np.argwhere(bad)[0]
+                raise ValueError(
+                    f"level fiber is not an antichain: {labels[idx[i]]!r} <= {labels[idx[j]]!r}"
+                )
     return p
 
 

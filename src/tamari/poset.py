@@ -1,11 +1,15 @@
 """Finite poset engine: order validation, Hasse diagrams, levels, duality.
 
 A :class:`Poset` stores the full order relation as a dense boolean numpy
-matrix (``leq[i, j]`` iff element i is below or equal to element j), which is
-validated to be reflexive, antisymmetric and transitive at construction.
-Cover edges (the Hasse diagram) are the transitive reduction of the strict
-part.  Everything here is immutable after construction and safe to share
-between threads; target sizes are a few thousand elements at most.
+matrix (``leq[i, j]`` iff element i is below or equal to element j) together
+with its cover pairs (the Hasse diagram).  Construction validates the order
+by a cover certificate: walking a linear extension from the top, each up-set
+must be the union of the up-sets of its covers, which are found along the way
+on bitset rows (Aho, Garey & Ullman, "The transitive reduction of a directed
+graph", 1972).  Only a relation that fails it is searched densely, to name
+the violated axiom and a witness.  Everything here is immutable after
+construction and safe to share between threads; target sizes are a few
+thousand elements at most.
 """
 
 from __future__ import annotations
@@ -27,13 +31,75 @@ class PosetError(ValueError):
 
 
 def _two_step(m: np.ndarray) -> np.ndarray:
-    # Boolean matrix square via float32 matmul; BLAS keeps this fast for the
-    # ~1000-element posets this library targets.
+    # Boolean matrix square via float32 matmul, O(N^3).  Only the witness
+    # search for a relation that failed the cover certificate calls it.
     f = m.astype(np.float32)
     return (f @ f) > 0.5
 
 
-def _validate_order(labels: list, leq: np.ndarray) -> None:
+def _bit_rows(m: np.ndarray) -> list[int]:
+    """Row i of a boolean matrix as an int with bit j set iff ``m[i, j]``."""
+    width = (m.shape[1] + 7) // 8
+    packed = np.packbits(m, axis=1, bitorder="little").tobytes()
+    return [int.from_bytes(packed[i : i + width], "little") for i in range(0, len(packed), width)]
+
+
+def _bool_rows(rows: list[int], n: int) -> np.ndarray:
+    """Inverse of :func:`_bit_rows` for an n x n matrix."""
+    width = (n + 7) // 8
+    packed = np.frombuffer(b"".join(r.to_bytes(width, "little") for r in rows), dtype=np.uint8)
+    bits = np.unpackbits(packed.reshape(n, width), axis=1, count=n, bitorder="little")
+    return bits.view(bool)
+
+
+def _cover_certificate(leq: np.ndarray) -> list[tuple[int, int]] | None:
+    """Sorted cover pairs if ``leq`` is a partial order, otherwise None.
+
+    The elements are walked down a linear extension: index order when every
+    strict pair goes forward in it, else ascending down-set size (index
+    tiebreak), which any partial order respects.  Up-sets are bitset rows in
+    that order.  For each element, the lowest strict successor not yet
+    reached from the covers found so far is its next cover.  The element's
+    up-set must then be exactly the union of its covers' up-sets.  The
+    up-sets above it were certified first, so by induction the relation is
+    transitive iff every check passes; reflexivity and antisymmetry follow
+    from each row's lowest bit being its own.
+    """
+    n = leq.shape[0]
+    order = list(range(n))
+    rows = _bit_rows(leq)
+    if any(row & -row != 1 << i for i, row in enumerate(rows)):
+        order = np.argsort(leq.sum(axis=0), kind="stable").tolist()
+        rows = _bit_rows(np.take(leq[order], order, axis=1))
+    pairs = []
+    for i in range(n - 1, -1, -1):
+        row = rows[i]
+        if row & -row != 1 << i:
+            return None
+        up = row ^ (1 << i)
+        reached = 0
+        rest = up
+        while rest:
+            j = (rest & -rest).bit_length() - 1
+            pairs.append((order[i], order[j]))
+            reached |= rows[j]
+            rest = up & ~reached
+        if reached != up:
+            return None
+    pairs.sort()
+    return pairs
+
+
+def _validate_order(labels: list, leq: np.ndarray) -> list[tuple[int, int]]:
+    """Return the sorted cover pairs of a partial order.
+
+    A relation that fails the cover certificate is searched densely for the
+    first violated axiom (reflexivity, then antisymmetry, then transitivity),
+    which is raised as a :class:`PosetError` naming a witness.
+    """
+    pairs = _cover_certificate(leq)
+    if pairs is not None:
+        return pairs
     n = leq.shape[0]
     diag = np.diagonal(leq)
     if not diag.all():
@@ -52,15 +118,14 @@ def _validate_order(labels: list, leq: np.ndarray) -> None:
             witness=(labels[i], labels[j]),
         )
     bad = _two_step(leq) & ~leq
-    if bad.any():
-        i, j = (int(x) for x in np.argwhere(bad)[0])
-        k = int(np.nonzero(leq[i] & leq[:, j])[0][0])
-        raise PosetError(
-            f"relation is not transitive: {labels[i]!r} <= {labels[k]!r} <= "
-            f"{labels[j]!r} but not {labels[i]!r} <= {labels[j]!r}",
-            kind="transitivity",
-            witness=(labels[i], labels[k], labels[j]),
-        )
+    i, j = (int(x) for x in np.argwhere(bad)[0])
+    k = int(np.nonzero(leq[i] & leq[:, j])[0][0])
+    raise PosetError(
+        f"relation is not transitive: {labels[i]!r} <= {labels[k]!r} <= "
+        f"{labels[j]!r} but not {labels[i]!r} <= {labels[j]!r}",
+        kind="transitivity",
+        witness=(labels[i], labels[k], labels[j]),
+    )
 
 
 @dataclass(frozen=True)
@@ -119,7 +184,7 @@ class Poset:
         if leq.shape != (n, n):
             raise PosetError(f"relation shape {leq.shape} does not match {n} labels")
         if validate:
-            _validate_order(labels, leq)
+            self._cover_pairs = _validate_order(labels, leq)
         leq = leq.copy()
         leq.setflags(write=False)
         self.labels = labels
@@ -138,20 +203,46 @@ class Poset:
 
     @classmethod
     def from_covers(cls, labels: Sequence, covers: Iterable[tuple[int, int]]) -> "Poset":
-        """Rebuild a poset from cover pairs (lower, upper) by transitive closure."""
+        """Rebuild a poset from cover pairs (lower, upper) by transitive closure.
+
+        Redundant pairs (implied by longer paths) are accepted and dropped;
+        a cycle is rejected as an antisymmetry violation.
+        """
         labels = list(labels)
         n = len(labels)
-        reach = np.eye(n, dtype=bool)
+        succ: list[list[int]] = [[] for _ in range(n)]
+        indegree = [0] * n
         for u, v in covers:
             if not (0 <= u < n and 0 <= v < n):
                 raise PosetError(f"cover ({u},{v}) out of range for {n} elements")
-            reach[u, v] = True
-        while True:
-            nxt = reach | _two_step(reach)
-            if (nxt == reach).all():
-                break
-            reach = nxt
-        return cls(labels, reach)  # validation rejects cyclic cover sets
+            if u != v:
+                succ[u].append(v)
+                indegree[v] += 1
+        # Kahn's sort; what it never reaches lies on or above a cycle
+        order = [u for u in range(n) if indegree[u] == 0]
+        for u in order:
+            for v in succ[u]:
+                indegree[v] -= 1
+                if indegree[v] == 0:
+                    order.append(v)
+        reach = [1 << u for u in range(n)]
+        stuck = [u for u in range(n) if indegree[u]]
+        changed = bool(stuck)
+        while changed:  # close the cyclic part so validation names the pair
+            changed = False
+            for u in stuck:
+                row = reach[u]
+                for v in succ[u]:
+                    row |= reach[v]
+                if row != reach[u]:
+                    reach[u] = row
+                    changed = True
+        for u in reversed(order):
+            row = reach[u]
+            for v in succ[u]:
+                row |= reach[v]
+            reach[u] = row
+        return cls(labels, _bool_rows(reach, n))
 
     # -- basic structure ---------------------------------------------------
 
@@ -173,16 +264,32 @@ class Poset:
         return m
 
     @cached_property
+    def _cover_pairs(self) -> list[tuple[int, int]]:
+        # set at construction when validated; certified on first use otherwise
+        return _validate_order(self.labels, self._leq)
+
+    @cached_property
     def cover_matrix(self) -> np.ndarray:
-        lt = self.strict_matrix
-        cov = lt & ~_two_step(lt)
+        cov = np.zeros((self.n, self.n), dtype=bool)
+        pairs = np.array(self._cover_pairs, dtype=np.intp).reshape(-1, 2)
+        cov[pairs[:, 0], pairs[:, 1]] = True
         cov.setflags(write=False)
         return cov
 
     @property
     def covers(self) -> list[tuple[int, int]]:
         """Sorted cover pairs (lower, upper): the Hasse diagram edges."""
-        return [(int(u), int(v)) for u, v in np.argwhere(self.cover_matrix)]
+        return list(self._cover_pairs)
+
+    @cached_property
+    def _cover_lists(self) -> tuple[list[list[int]], list[list[int]]]:
+        """Per element, the ascending indices of its upper and lower covers."""
+        ups: list[list[int]] = [[] for _ in range(self.n)]
+        downs: list[list[int]] = [[] for _ in range(self.n)]
+        for u, v in self._cover_pairs:
+            ups[u].append(v)
+            downs[v].append(u)
+        return ups, downs
 
     def minimal_elements(self) -> list[int]:
         return [int(i) for i in np.nonzero(~self.strict_matrix.any(axis=0))[0]]
@@ -209,9 +316,8 @@ class Poset:
 
     @cached_property
     def _level_arrays(self) -> tuple[list[int], list[int]]:
-        cov = self.cover_matrix
+        up_adj, down_adj = self._cover_lists
         order = self.topological_order()
-        up_adj = [np.nonzero(cov[u])[0] for u in range(self.n)]
         low = [0] * self.n
         for u in order:
             du = low[u] + 1
@@ -219,7 +325,6 @@ class Poset:
                 if low[v] < du:
                     low[v] = du
         up = [0] * self.n
-        down_adj = [np.nonzero(cov[:, v])[0] for v in range(self.n)]
         for v in reversed(order):
             dv = up[v] + 1
             for u in down_adj[v]:
@@ -253,7 +358,9 @@ class Poset:
 
     def dual(self) -> "Poset":
         """Same elements with the order reversed (an involution)."""
-        return Poset(self.labels, self._leq.T, validate=False)
+        d = Poset(self.labels, self._leq.T, validate=False)
+        d._cover_pairs = sorted((v, u) for u, v in self._cover_pairs)
+        return d
 
     def induced(self, indices: Sequence[int]) -> "Poset":
         idx = list(indices)
@@ -274,20 +381,22 @@ def _refine_colors(p: Poset, q: Poset) -> tuple[list[int], list[int]] | None:
     def initial(r: Poset) -> list[tuple]:
         below = r.leq_matrix.sum(axis=0)
         above = r.leq_matrix.sum(axis=1)
-        cov = r.cover_matrix
+        ups, downs = r._cover_lists
         return [
-            (int(below[v]), int(above[v]), int(cov[:, v].sum()), int(cov[v].sum()))
+            (int(below[v]), int(above[v]), len(downs[v]), len(ups[v]))
             for v in range(r.n)
         ]
 
     def step(r: Poset, colors: list[int]) -> list[tuple]:
-        cov = r.cover_matrix
-        out = []
-        for v in range(r.n):
-            ups = tuple(sorted(colors[int(u)] for u in np.nonzero(cov[v])[0]))
-            downs = tuple(sorted(colors[int(u)] for u in np.nonzero(cov[:, v])[0]))
-            out.append((colors[v], ups, downs))
-        return out
+        ups, downs = r._cover_lists
+        return [
+            (
+                colors[v],
+                tuple(sorted(colors[u] for u in ups[v])),
+                tuple(sorted(colors[u] for u in downs[v])),
+            )
+            for v in range(r.n)
+        ]
 
     interned: dict[tuple, int] = {}
 
