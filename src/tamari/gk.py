@@ -13,18 +13,20 @@ paths whose collected elements are the chains.
 The flow runs in primal-dual phases: each phase sends every unit of the
 current largest marginal profit at once.  Marginal profits are the parts of
 the Greene-Kleitman partition, a phase of ``m`` units adding ``m`` equal
-parts; its conjugate certifies the antichain totals.
+parts; its conjugate certifies the antichain totals.  One shape-checking
+driver runs the phases of every public call, one flow per answer.
 
 The antichain side uses the same flow: stopped once the marginal gain falls
 to k, its node potentials (the dual solution) split into level sets that
-form a maximum union of k antichains.  Exhaustive oracles for small posets
-live here too, so every flow answer can be cross-checked by an independent
-search.
+form a maximum union of k antichains, and the gains of the phases run give
+the total they must reach.  Exhaustive oracles for small posets live here
+too, so every flow answer can be cross-checked by an independent search.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 
 from .flow import MinCostFlow
 from .poset import Poset
@@ -111,6 +113,7 @@ class _ChainNetwork:
         self.net = net
         self.order = order
         self.profit_arcs = profit
+        self.first_gain = p.longest_chain_length() + 1
 
     def phase(self, limit: int, floor: int = 0) -> tuple[int, int]:
         """One primal-dual phase: (marginal gain per unit, units sent).
@@ -121,15 +124,41 @@ class _ChainNetwork:
         more either.  The default keeps zero-profit units out of the flow,
         which guarantees every decomposed path is nonempty.
         """
+        self.start_potential = list(self.net.potential)  # the dual it advances
         cost = self.net.cheapest_path(self.S, self.T)
         if cost is None:
             raise RuntimeError("flow network unexpectedly disconnected")
         if -cost <= floor:
             return -cost, 0
-        sent = self.net.push_phase(self.S, self.T, limit)
-        if sent < 1:
-            raise RuntimeError("a profitable phase sent no flow")
-        return -cost, sent
+        return -cost, self.net.push_phase(self.S, self.T, limit)
+
+    def run(self, limit: int, floor: int = 0) -> list[int]:
+        """Phases until ``limit`` units flowed, every element is collected or
+        the gain falls to ``floor``; returns the gain of each unit sent.
+
+        On a fresh network the gains are the leading Greene-Kleitman parts,
+        so their guaranteed shape is checked here: the first is the longest
+        chain size, they weakly decrease and stay positive while elements
+        remain, and a profitable phase sends flow.  A violation is an
+        internal error, not data.
+        """
+        gains: list[int] = []
+        left = len(self.order)
+        while len(gains) < limit and left > 0:
+            gain, sent = self.phase(limit - len(gains), floor)
+            if not gains and gain != self.first_gain:
+                raise RuntimeError("first part disagrees with the level structure")
+            if gains and gain > gains[-1]:
+                raise RuntimeError("flow marginals are not weakly decreasing")
+            if gain <= 0:
+                raise RuntimeError("flow produced a nonpositive marginal before covering")
+            if not sent:
+                if gain > floor:
+                    raise RuntimeError("a profitable phase sent no flow")
+                break
+            gains.extend([gain] * sent)
+            left -= gain * sent
+        return gains
 
     def augment(self) -> tuple[int, int]:
         """A single unit: the phase capped at one."""
@@ -168,36 +197,20 @@ def max_chain_union(p: Poset, k: int) -> ChainFamily:
     if k < 1:
         raise ValueError("k must be at least 1")
     network = _ChainNetwork(p)
-    total = 0
-    units = 0
-    while units < k:
-        gain, sent = network.phase(k - units)
-        if not sent:
-            break
-        total += gain * sent
-        units += sent
-    chains = network.decompose(units)
-    if total != sum(len(c) for c in chains) or any(not c for c in chains):
+    gains = network.run(k)
+    chains = network.decompose(len(gains))
+    if sum(gains) != sum(len(c) for c in chains) or any(not c for c in chains):
         raise RuntimeError("flow decomposition lost elements")
-    chains.extend([] for _ in range(k - units))
-    return ChainFamily(tuple(tuple(c) for c in chains), total)
+    chains.extend([] for _ in range(k - len(gains)))
+    return ChainFamily(tuple(tuple(c) for c in chains), sum(gains))
 
 
 def chain_union_sizes(p: Poset, k: int) -> list[int]:
     """Cumulative maximum union sizes for 1, 2, ..., k chains (one flow run)."""
     if k < 1:
         raise ValueError("k must be at least 1")
-    network = _ChainNetwork(p)
-    sizes: list[int] = []
-    total = 0
-    while len(sizes) < k:
-        gain, sent = network.phase(k - len(sizes))
-        if not sent:
-            break  # marginals hit zero; the totals plateau
-        for _ in range(sent):
-            total += gain
-            sizes.append(total)
-    sizes.extend([total] * (k - len(sizes)))
+    sizes = list(accumulate(_ChainNetwork(p).run(k)))
+    sizes.extend([sizes[-1]] * (k - len(sizes)))  # every element collected
     return sizes
 
 
@@ -206,25 +219,9 @@ def gk_partition(p: Poset) -> GKPartition:
 
     The flow stays optimal at every intermediate number of units, so the
     marginal profits are exactly the parts, one phase per distinct part; the
-    run stops once every element is collected.  Violations of the
-    guaranteed shape (positive, weakly decreasing marginals, first part =
-    longest chain size) are internal errors, not data.
+    run stops once every element is collected.
     """
-    network = _ChainNetwork(p)
-    parts: list[int] = []
-    covered = 0
-    while covered < p.n:
-        gain, sent = network.phase(p.n - covered)
-        if gain <= 0:
-            raise RuntimeError("flow produced a nonpositive marginal before covering")
-        if parts and gain > parts[-1]:
-            raise RuntimeError("flow marginals are not weakly decreasing")
-        parts.extend([gain] * sent)
-        covered += gain * sent
-    result = GKPartition(tuple(parts))
-    if result.parts[0] != p.longest_chain_length() + 1:
-        raise RuntimeError("first part disagrees with the level structure")
-    return result
+    return GKPartition(tuple(_ChainNetwork(p).run(p.n)))
 
 
 # -- antichain side ------------------------------------------------------------
@@ -243,18 +240,19 @@ def max_antichain_union(p: Poset, k: int) -> AntichainFamily:
     which is below ``pi[u_in]`` for a member u, so comparable members never
     share a group; member potentials lie in a window of k integers.  The
     total is the contract: it equals the sum of the first k parts of the
-    conjugate of the Greene-Kleitman partition.
+    conjugate of the Greene-Kleitman partition: ``n`` minus the excess over
+    k of each part above k, which are the gains of the same phases.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
     network = _ChainNetwork(p)
-    sent = 1
-    while sent:
-        before = list(network.net.potential)
-        _, sent = network.phase(p.n, floor=k)
-    # ``before`` (gain above k) and the advanced potentials (gain at most k)
-    # are both duals of the final flow; capping the advance in between keeps
-    # a dual whose gain is exactly k
+    gains = network.run(p.n, floor=k)
+    if sum(gains) == p.n:
+        network.phase(1, floor=k)  # the final dual comes from a Dijkstra that sends nothing
+    # the starting potentials (gain above k) and the advanced ones (gain at
+    # most k) are both duals of the final flow; capping the advance in
+    # between keeps a dual whose gain is exactly k
+    before = network.start_potential
     cap = max(0, before[network.S] - before[network.T] - k)
     pi_k = [b + min(x - b, cap) for b, x in zip(before, network.net.potential)]
     groups: dict[float, list[int]] = {}
@@ -264,10 +262,9 @@ def max_antichain_union(p: Poset, k: int) -> AntichainFamily:
     # potentials fall going up the order, so the lowest antichain comes first
     chosen = [sorted(groups[key]) for key in sorted(groups, reverse=True)]
     total = sum(len(a) for a in chosen)
-    if len(chosen) > k or total != sum(gk_partition(p).conjugate()[:k]):
+    if len(chosen) > k or total != p.n - sum(g - k for g in gains):
         raise RuntimeError("constructed antichain family misses the certified total")
-    while len(chosen) < k:
-        chosen.append([])
+    chosen.extend([] for _ in range(k - len(chosen)))
     return AntichainFamily(tuple(tuple(a) for a in chosen), total)
 
 

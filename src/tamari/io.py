@@ -76,7 +76,10 @@ def document_to_poset(doc: Mapping) -> Poset:
     if levels is not None:
         fibers: dict[int, list[int]] = {}
         for key, lv in levels.items():
-            fibers.setdefault(int(lv), []).append(int(key))
+            i = int(key)
+            if not 0 <= i < len(labels):
+                raise ValueError(f"level key {key!r} is not an element index 0..{len(labels) - 1}")
+            fibers.setdefault(int(lv), []).append(i)
         for members in fibers.values():
             if len(members) < 2:
                 continue

@@ -358,7 +358,10 @@ class Poset:
 
     def dual(self) -> "Poset":
         """Same elements with the order reversed (an involution)."""
-        d = Poset(self.labels, self._leq.T, validate=False)
+        # the read-only transposed view is safe to share: ``_leq`` never changes
+        d = Poset.__new__(Poset)
+        d.labels = list(self.labels)
+        d._leq = self._leq.T
         d._cover_pairs = sorted((v, u) for u, v in self._cover_pairs)
         return d
 

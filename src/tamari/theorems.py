@@ -30,7 +30,7 @@ from .elements import (
 )
 from .gk import chain_union_sizes
 from .lattices import tamari_poset
-from .poset import LevelAssignment, Poset, find_isomorphism
+from .poset import LevelAssignment, Poset, _bit_rows, find_isomorphism
 
 VERIFIED = "verified"
 REFUTED = "refuted"
@@ -316,7 +316,8 @@ def verify_structure(n: int) -> list[VerificationReport]:
             VerificationReport("remarks.self_duality", n, REFUTED, witness=iso)
         )
 
-    sub = p.leveled_subposet().poset
+    leveled = p.leveled_subposet()
+    sub = leveled.poset
     iso2 = find_isomorphism(sub, sub.dual())
     if iso2 is not None:
         reports.append(
@@ -337,7 +338,7 @@ def verify_structure(n: int) -> list[VerificationReport]:
             )
         )
 
-    sizes = sorted(p.leveled_subposet().level_sizes().values())
+    sizes = sorted(leveled.level_sizes().values())
     histogram = {s: sizes.count(s) for s in sorted(set(sizes))}
     if n != 5:
         reports.append(
@@ -392,28 +393,21 @@ def verify_claims(claim: str, ns: Sequence[int]) -> list[VerificationReport]:
 def is_lattice(p: Poset) -> bool:
     """True iff every pair has a unique least upper and greatest lower bound.
 
-    Levels strictly increase along the order, so among the common upper
-    bounds of a pair any min-level element is minimal; a least upper bound
-    exists iff that element is unique and lies below every other bound
-    (dually for greatest lower bounds).
+    Up-sets and down-sets are bitset rows over a linear extension, so the
+    lowest common upper bound of a pair is a minimal one; a least upper
+    bound exists iff its up-set is exactly the common upper bounds (dually,
+    the highest common lower bound and its down-set).
     """
-    leq = p.leq_matrix  # leq[a] is the up-set of a, leq.T[a] its down-set
-    geq = leq.T
-    low = np.array(p.level_map("lowest").levels)
+    order = p.topological_order()
+    leq = p.leq_matrix[np.ix_(order, order)]
+    up = _bit_rows(leq)
+    down = _bit_rows(leq.T)
     for a in range(p.n):
         for b in range(a + 1, p.n):
-            ub = leq[a] & leq[b]
-            idx = np.nonzero(ub)[0]
-            if idx.size == 0:
+            ub = up[a] & up[b]
+            if not ub or up[(ub & -ub).bit_length() - 1] != ub:
                 return False
-            cand = idx[low[idx] == low[idx].min()]
-            if cand.size != 1 or (ub & ~leq[cand[0]]).any():
-                return False
-            lb = geq[a] & geq[b]
-            idx = np.nonzero(lb)[0]
-            if idx.size == 0:
-                return False
-            cand = idx[low[idx] == low[idx].max()]
-            if cand.size != 1 or (lb & ~geq[cand[0]]).any():
+            lb = down[a] & down[b]
+            if not lb or down[lb.bit_length() - 1] != lb:
                 return False
     return True

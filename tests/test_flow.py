@@ -9,7 +9,14 @@ import numpy as np
 import pytest
 
 from conftest import check_chain_family, random_poset
-from tamari import ChainFamily, chain_union_sizes, gk_partition, max_chain_union, tamari_poset
+from tamari import (
+    ChainFamily,
+    chain_union_sizes,
+    gk_partition,
+    max_antichain_union,
+    max_chain_union,
+    tamari_poset,
+)
 from tamari.flow import MinCostFlow
 from tamari.gk import _ChainNetwork
 
@@ -143,3 +150,69 @@ def test_networkx_agrees_on_random_posets_beyond_oracle_cap():
 
 def test_networkx_agrees_on_t4b():
     _cross_check(tamari_poset("b", 4))
+
+
+# -- one phase driver behind every public call ---------------------------------
+
+
+def test_antichain_side_runs_one_flow(monkeypatch):
+    """The antichain total is read off its own phases; no second flow runs."""
+    passes = []
+    cheapest_path = MinCostFlow.cheapest_path
+
+    def counted(self, s, t):
+        passes.append(s)
+        return cheapest_path(self, s, t)
+
+    monkeypatch.setattr(MinCostFlow, "cheapest_path", counted)
+    p = tamari_poset("b", 5)
+    for k, expected in ((1, 16), (2, 15), (3, 14)):
+        passes.clear()
+        max_antichain_union(p, k)
+        assert len(passes) == expected
+
+
+def test_each_public_call_builds_one_network(monkeypatch):
+    built = []
+    init = _ChainNetwork.__init__
+
+    def counted(self, p):
+        built.append(p)
+        init(self, p)
+
+    monkeypatch.setattr(_ChainNetwork, "__init__", counted)
+    p = tamari_poset("b", 4)
+    for call in (lambda: gk_partition(p), lambda: chain_union_sizes(p, 3),
+                 lambda: max_chain_union(p, 3), lambda: max_antichain_union(p, 2)):
+        built.clear()
+        call()
+        assert len(built) == 1
+
+
+# What a faulty phase reports, from the true (gain, sent) and the phase's index
+# on its network; T_4^B's first two gains are 17 and 12.
+SHAPE_FAULTS = {
+    "weakly decreasing": lambda gain, sent, i: (gain + 10 * i, sent),
+    "level structure": lambda gain, sent, i: (gain + (i == 0), sent),
+    "sent no flow": lambda gain, sent, i: (gain, 0),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(SHAPE_FAULTS))
+def test_every_public_call_checks_the_phase_shape(monkeypatch, fault):
+    phase = _ChainNetwork.phase
+    calls: dict[int, int] = {}
+
+    def faulty(self, limit, floor=0):
+        gain, sent = phase(self, limit, floor)
+        i = calls.get(id(self), 0)
+        calls[id(self)] = i + 1
+        return SHAPE_FAULTS[fault](gain, sent, i)
+
+    monkeypatch.setattr(_ChainNetwork, "phase", faulty)
+    p = tamari_poset("b", 4)
+    for call in (lambda: gk_partition(p), lambda: chain_union_sizes(p, 3),
+                 lambda: max_chain_union(p, 3), lambda: max_antichain_union(p, 1)):
+        calls.clear()
+        with pytest.raises(RuntimeError, match=fault):
+            call()

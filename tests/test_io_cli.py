@@ -224,3 +224,20 @@ def test_tamari_poset_cap():
         tamari_poset("b", 8)
     with pytest.raises(ValueError):
         tamari_poset("c", 3)
+
+
+@pytest.mark.parametrize("levels,bad", [
+    ({"0": 0, "1": 1, "-3": 1}, "-3"),  # would wrap onto element 0
+    ({"0": 0, "7": 1}, "7"),
+    ({"-1": 0}, "-1"),  # a lone key is never compared with anything
+])
+def test_document_rejects_level_keys_outside_the_elements(levels, bad):
+    doc = {
+        "format_version": 1,
+        "kind": "generic",
+        "elements": ["a", "b", "c"],
+        "covers": [[0, 1], [1, 2]],
+        "levels": levels,
+    }
+    with pytest.raises(ValueError, match=f"level key '{bad}'"):
+        document_to_poset(doc)

@@ -1,5 +1,9 @@
+import random
+
+import numpy as np
 import pytest
 
+from conftest import random_poset
 from tamari import (
     INF,
     REFUTED,
@@ -257,3 +261,55 @@ def test_tnb_is_lattice(n):
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_tna_is_lattice(n):
     assert is_lattice(tamari_poset("a", n))
+
+
+def _pairwise_is_lattice(p):
+    """Reference: the per-pair scan of the order matrix with a level map."""
+    leq = p.leq_matrix
+    geq = leq.T
+    low = np.array(p.level_map("lowest").levels)
+    for a in range(p.n):
+        for b in range(a + 1, p.n):
+            ub = leq[a] & leq[b]
+            idx = np.nonzero(ub)[0]
+            if idx.size == 0:
+                return False
+            cand = idx[low[idx] == low[idx].min()]
+            if cand.size != 1 or (ub & ~leq[cand[0]]).any():
+                return False
+            lb = geq[a] & geq[b]
+            idx = np.nonzero(lb)[0]
+            if idx.size == 0:
+                return False
+            cand = idx[low[idx] == low[idx].max()]
+            if cand.size != 1 or (lb & ~geq[cand[0]]).any():
+                return False
+    return True
+
+
+def _with_bounds(p):
+    """p with a new least and a new greatest element."""
+    m = np.eye(p.n + 2, dtype=bool)
+    m[1:-1, 1:-1] = p.leq_matrix
+    m[0, :] = True
+    m[:, -1] = True
+    return Poset(list(range(p.n + 2)), m)
+
+
+def test_is_lattice_agrees_with_pairwise_reference():
+    rng = random.Random(2718)
+    outcomes = []
+    for _ in range(400):
+        p = random_poset(rng, rng.randint(1, 12), rng.choice((0.1, 0.2, 0.35, 0.5)))
+        for q in (p, _with_bounds(p)):
+            perm = rng.sample(range(q.n), q.n)  # index order need not extend the order
+            q = Poset(perm, q.leq_matrix[np.ix_(perm, perm)])
+            expected = _pairwise_is_lattice(q)
+            assert is_lattice(q) == expected
+            outcomes.append(expected)
+    assert 0 < sum(outcomes) < len(outcomes)
+
+
+@pytest.mark.parametrize("kind,n", [("b", 6), ("a", 7)])
+def test_larger_tamari_posets_are_lattices(kind, n):
+    assert is_lattice(tamari_poset(kind, n))
