@@ -87,7 +87,7 @@ def _parse_n(parser: argparse.ArgumentParser, text: str, force: bool,
         if needs_poset and n > POSET_MAX_N:
             parser.error(
                 f"n={n} exceeds the poset cap {POSET_MAX_N}; this command "
-                "builds the full order matrix and cannot go further"
+                "builds the poset and --force does not lift that cap"
             )
         if n > MAX_N:
             parser.error(f"n={n} exceeds the hard cap {MAX_N}")

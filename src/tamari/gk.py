@@ -70,8 +70,6 @@ class GKPartition:
         return sum(self.parts[:k])
 
     def conjugate(self) -> tuple[int, ...]:
-        if not self.parts:
-            return ()
         return conjugate_partition(self.parts)
 
 
@@ -104,12 +102,8 @@ class _ChainNetwork:
             net.add_arc(3 + 2 * r, self.T, _BIG, 0)
         for ru, rv in sorted((rank[u], rank[v]) for u, v in p.covers):
             net.add_arc(3 + 2 * ru, 2 + 2 * rv, _BIG, 0)
-        topo_nodes = [self.S]
-        for r in range(n):
-            topo_nodes.append(2 + 2 * r)
-            topo_nodes.append(3 + 2 * r)
-        topo_nodes.append(self.T)
-        net.init_potentials(topo_nodes, self.S)
+        # element nodes are numbered in topological order, in before out
+        net.init_potentials([self.S, *range(2, 2 + 2 * n), self.T], self.S)
         self.net = net
         self.order = order
         self.profit_arcs = profit
@@ -286,7 +280,6 @@ def oracle_chain_union(p: Poset, k: int) -> int:
     if not 1 <= k <= 3:
         raise ValueError("oracle supports 1 <= k <= 3")
     order = p.topological_order()
-    lt = p.strict_matrix
     n = p.n
     memo: dict[tuple[int, tuple[int, ...]], int] = {}
 
@@ -301,7 +294,7 @@ def oracle_chain_union(p: Poset, k: int) -> int:
         value = best(pos + 1, tops)
         for slot in range(k):
             t = tops[slot]
-            if t == -1 or lt[t, e]:
+            if t == -1 or p.leq(t, e):
                 nxt = tuple(sorted(tops[:slot] + (e,) + tops[slot + 1 :]))
                 value = max(value, 1 + best(pos + 1, nxt))
         memo[key] = value
@@ -315,8 +308,9 @@ def oracle_max_antichain(p: Poset) -> int:
     if p.n > ORACLE_MAX_ELEMENTS:
         raise ValueError(f"oracle capped at {ORACLE_MAX_ELEMENTS} elements, got {p.n}")
     n = p.n
-    comp = p.leq_matrix | p.leq_matrix.T
-    incompatible = [int(sum(1 << j for j in range(n) if comp[i, j])) for i in range(n)]
+    incompatible = [
+        sum(1 << j for j in range(n) if p.leq(i, j) or p.leq(j, i)) for i in range(n)
+    ]
     best = 0
 
     def dfs(pos: int, count: int, blocked: int) -> None:

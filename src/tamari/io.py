@@ -11,8 +11,6 @@ from __future__ import annotations
 import json
 from typing import Mapping
 
-import numpy as np
-
 from .elements import format_vector
 from .poset import LevelAssignment, Poset
 
@@ -62,7 +60,7 @@ def document_to_poset(doc: Mapping) -> Poset:
     """Rebuild a poset from a document; inverse of :func:`poset_document`.
 
     The element ordering is preserved exactly, so a rebuilt Tamari document
-    is not merely isomorphic to the original but has the identical matrix.
+    is not merely isomorphic to the original but has the identical order.
     Documents without covers cannot reconstruct an order and are rejected.
     """
     version = doc.get("format_version")
@@ -71,7 +69,10 @@ def document_to_poset(doc: Mapping) -> Poset:
     if "covers" not in doc:
         raise ValueError("document has no covers; cannot rebuild the order")
     labels = list(doc["elements"])
-    p = Poset.from_covers(labels, [tuple(c) for c in doc["covers"]])
+    if len(set(labels)) < len(labels):
+        dup = next(lab for i, lab in enumerate(labels) if lab in labels[:i])
+        raise ValueError(f"duplicate element label {dup!r}")
+    p = Poset.from_covers(labels, doc["covers"])
     levels = doc.get("levels")
     if levels is not None:
         fibers: dict[int, list[int]] = {}
@@ -79,16 +80,14 @@ def document_to_poset(doc: Mapping) -> Poset:
             i = int(key)
             if not 0 <= i < len(labels):
                 raise ValueError(f"level key {key!r} is not an element index 0..{len(labels) - 1}")
-            fibers.setdefault(int(lv), []).append(i)
+            if not isinstance(lv, int) or isinstance(lv, bool):
+                raise ValueError(f"level {lv!r} of key {key!r} is not an integer")
+            fibers.setdefault(lv, []).append(i)
         for members in fibers.values():
-            if len(members) < 2:
-                continue
-            idx = np.array(members)
-            bad = p.leq_matrix[np.ix_(idx, idx)] & (idx[:, None] != idx[None, :])
-            if bad.any():
-                i, j = np.argwhere(bad)[0]
+            bad = p.first_comparable_pair(members)
+            if bad is not None:
                 raise ValueError(
-                    f"level fiber is not an antichain: {labels[idx[i]]!r} <= {labels[idx[j]]!r}"
+                    f"level fiber is not an antichain: {labels[bad[0]]!r} <= {labels[bad[1]]!r}"
                 )
     return p
 

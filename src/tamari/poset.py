@@ -1,21 +1,24 @@
 """Finite poset engine: order validation, Hasse diagrams, levels, duality.
 
-A :class:`Poset` stores the full order relation as a dense boolean numpy
-matrix (``leq[i, j]`` iff element i is below or equal to element j) together
-with its cover pairs (the Hasse diagram).  Construction validates the order
-by a cover certificate: walking a linear extension from the top, each up-set
-must be the union of the up-sets of its covers, which are found along the way
-on bitset rows (Aho, Garey & Ullman, "The transitive reduction of a directed
-graph", 1972).  Only a relation that fails it is searched densely, to name
-the violated axiom and a witness.  Everything here is immutable after
-construction and safe to share between threads; target sizes are a few
-thousand elements at most.
+A :class:`Poset` stores its order as bitset up-set rows (Python ints; bit j
+of row i is set iff element i is below or equal to element j) together with
+its cover pairs (the Hasse diagram).  Every other view, down-set rows, levels
+and the dense boolean matrices kept for tests and oracles, is derived from
+these two and cached.  Construction validates the order by a cover
+certificate: walking a linear extension from the top, each up-set must be
+the union of the up-sets of its covers, which are found along the way (Aho,
+Garey & Ullman, "The transitive reduction of a directed graph", 1972).  Only
+a relation that fails it is searched densely, to name the violated axiom and
+a witness.  Everything here is immutable after construction and safe to
+share between threads.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
+from operator import itemgetter
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -52,55 +55,75 @@ def _bool_rows(rows: list[int], n: int) -> np.ndarray:
     return bits.view(bool)
 
 
-def _cover_certificate(leq: np.ndarray) -> list[tuple[int, int]] | None:
-    """Sorted cover pairs if ``leq`` is a partial order, otherwise None.
+def _selected(rows: list[int], idx: list[int]) -> list[int]:
+    """Rows ``idx`` restricted to the columns ``idx`` and renumbered, so bit
+    q of row p is bit ``idx[q]`` of ``rows[idx[p]]``.  Each row is read as a
+    binary string, never as a matrix."""
+    if not idx:
+        return []
+    n = len(rows)
+    pick = itemgetter(*[n - 1 - j for j in reversed(idx)])
+    return [int("".join(pick(format(rows[i], f"0{n}b"))), 2) for i in idx]
 
-    The elements are walked down a linear extension: index order when every
-    strict pair goes forward in it, else ascending down-set size (index
-    tiebreak), which any partial order respects.  Up-sets are bitset rows in
-    that order.  For each element, the lowest strict successor not yet
-    reached from the covers found so far is its next cover.  The element's
-    up-set must then be exactly the union of its covers' up-sets.  The
-    up-sets above it were certified first, so by induction the relation is
-    transitive iff every check passes; reflexivity and antisymmetry follow
-    from each row's lowest bit being its own.
+
+def _along_extension(up: list[int], *more: list[int]) -> tuple:
+    """``(order, up, *more)`` with the rows re-indexed along ``order``.
+
+    ``order`` is None when index order already is a linear extension of
+    ``up`` (every row's lowest bit is its own) and the rows come back as
+    they are; otherwise it is descending up-set size with index tiebreak,
+    a linear extension of any partial order.
     """
-    n = leq.shape[0]
-    order = list(range(n))
-    rows = _bit_rows(leq)
-    if any(row & -row != 1 << i for i, row in enumerate(rows)):
-        order = np.argsort(leq.sum(axis=0), kind="stable").tolist()
-        rows = _bit_rows(np.take(leq[order], order, axis=1))
+    if all(row & -row == 1 << i for i, row in enumerate(up)):
+        return None, up, *more
+    order = sorted(range(len(up)), key=lambda i: (-up[i].bit_count(), i))
+    return order, *(_selected(rows, order) for rows in (up, *more))
+
+
+def _cover_certificate(up: list[int]) -> list[tuple[int, int]] | None:
+    """Sorted cover pairs if the up-set rows form a partial order, else None.
+
+    The elements are walked down a linear extension (:func:`_along_extension`).
+    For each element, the lowest strict successor not yet reached from the
+    covers found so far is its next cover.  The element's up-set must then be
+    exactly the union of its covers' up-sets.  The up-sets above it were
+    certified first, so by induction the relation is transitive iff every
+    check passes; reflexivity and antisymmetry follow from each row's lowest
+    bit being its own.
+    """
+    order, rows = _along_extension(up)
     pairs = []
-    for i in range(n - 1, -1, -1):
+    for i in range(len(rows) - 1, -1, -1):
         row = rows[i]
         if row & -row != 1 << i:
             return None
-        up = row ^ (1 << i)
+        above = row ^ (1 << i)
         reached = 0
-        rest = up
+        rest = above
         while rest:
             j = (rest & -rest).bit_length() - 1
-            pairs.append((order[i], order[j]))
+            pairs.append((i, j) if order is None else (order[i], order[j]))
             reached |= rows[j]
-            rest = up & ~reached
-        if reached != up:
+            rest = above & ~reached
+        if reached != above:
             return None
     pairs.sort()
     return pairs
 
 
-def _validate_order(labels: list, leq: np.ndarray) -> list[tuple[int, int]]:
-    """Return the sorted cover pairs of a partial order.
+def _validate_order(labels: list, up: list[int]) -> list[tuple[int, int]]:
+    """Return the sorted cover pairs of a partial order given by up-set rows.
 
-    A relation that fails the cover certificate is searched densely for the
-    first violated axiom (reflexivity, then antisymmetry, then transitivity),
-    which is raised as a :class:`PosetError` naming a witness.
+    A relation that fails the cover certificate is unpacked and searched
+    densely for the first violated axiom (reflexivity, then antisymmetry,
+    then transitivity), which is raised as a :class:`PosetError` naming a
+    witness.
     """
-    pairs = _cover_certificate(leq)
+    pairs = _cover_certificate(up)
     if pairs is not None:
         return pairs
-    n = leq.shape[0]
+    n = len(up)
+    leq = _bool_rows(up, n)
     diag = np.diagonal(leq)
     if not diag.all():
         i = int(np.nonzero(~diag)[0][0])
@@ -165,11 +188,7 @@ class LeveledSubposet:
     poset: "Poset" = field(repr=False)
 
     def level_sizes(self) -> dict[int, int]:
-        out: dict[int, int] = {}
-        for m in self.members:
-            lv = self.levels[m]
-            out[lv] = out.get(lv, 0) + 1
-        return dict(sorted(out.items()))
+        return dict(sorted(Counter(self.levels[m] for m in self.members).items()))
 
 
 class Poset:
@@ -183,40 +202,52 @@ class Poset:
         n = len(labels)
         if leq.shape != (n, n):
             raise PosetError(f"relation shape {leq.shape} does not match {n} labels")
+        self.labels, self._up = labels, _bit_rows(leq)
         if validate:
-            self._cover_pairs = _validate_order(labels, leq)
-        leq = leq.copy()
-        leq.setflags(write=False)
-        self.labels = labels
-        self._leq = leq
+            self._cover_pairs = _validate_order(labels, self._up)
+
+    @classmethod
+    def _from_rows(cls, labels: Sequence, up: list[int], validate: bool = True) -> "Poset":
+        """Build from up-set rows (bit j of ``up[i]`` iff i <= j)."""
+        p = cls.__new__(cls)
+        p.labels, p._up = list(labels), up
+        if not p.labels:
+            raise PosetError("poset needs at least one element", kind="empty")
+        if validate:
+            p._cover_pairs = _validate_order(p.labels, up)
+        return p
 
     @classmethod
     def from_predicate(cls, labels: Sequence, leq: Callable) -> "Poset":
         """Build from a binary order predicate, validating the axioms."""
         labels = list(labels)
-        n = len(labels)
-        mat = np.zeros((n, n), dtype=bool)
-        for i, a in enumerate(labels):
-            for j, b in enumerate(labels):
-                mat[i, j] = bool(leq(a, b))
-        return cls(labels, mat)
+        up = [sum(1 << j for j, b in enumerate(labels) if leq(a, b)) for a in labels]
+        return cls._from_rows(labels, up)
 
     @classmethod
     def from_covers(cls, labels: Sequence, covers: Iterable[tuple[int, int]]) -> "Poset":
         """Rebuild a poset from cover pairs (lower, upper) by transitive closure.
 
-        Redundant pairs (implied by longer paths) are accepted and dropped;
-        a cycle is rejected as an antisymmetry violation.
+        Each pair must be two integer element indices.  Redundant pairs
+        (implied by longer paths) are accepted and dropped; a cycle is
+        rejected as an antisymmetry violation.
         """
         labels = list(labels)
         n = len(labels)
         succ: list[list[int]] = [[] for _ in range(n)]
         indegree = [0] * n
-        for u, v in covers:
+        for pair in covers:
+            if not (
+                isinstance(pair, (tuple, list, np.ndarray))
+                and len(pair) == 2
+                and all(isinstance(x, (int, np.integer)) and not isinstance(x, bool) for x in pair)
+            ):
+                raise PosetError(f"cover {pair!r} is not a pair of element indices")
+            u, v = pair
             if not (0 <= u < n and 0 <= v < n):
                 raise PosetError(f"cover ({u},{v}) out of range for {n} elements")
             if u != v:
-                succ[u].append(v)
+                succ[u].append(int(v))
                 indegree[v] += 1
         # Kahn's sort; what it never reaches lies on or above a cycle
         order = [u for u in range(n) if indegree[u] == 0]
@@ -242,7 +273,7 @@ class Poset:
             for v in succ[u]:
                 row |= reach[v]
             reach[u] = row
-        return cls(labels, _bool_rows(reach, n))
+        return cls._from_rows(labels, reach)
 
     # -- basic structure ---------------------------------------------------
 
@@ -250,23 +281,26 @@ class Poset:
     def n(self) -> int:
         return len(self.labels)
 
-    @property
-    def leq_matrix(self) -> np.ndarray:
-        return self._leq
-
     def leq(self, i: int, j: int) -> bool:
-        return bool(self._leq[i, j])
+        return bool(self._up[i] >> j & 1)
+
+    @cached_property
+    def leq_matrix(self) -> np.ndarray:
+        """Read-only dense view of the order, for tests and oracles."""
+        m = _bool_rows(self._up, self.n)
+        m.setflags(write=False)
+        return m
 
     @cached_property
     def strict_matrix(self) -> np.ndarray:
-        m = self._leq & ~np.eye(self.n, dtype=bool)
+        m = self.leq_matrix & ~np.eye(self.n, dtype=bool)
         m.setflags(write=False)
         return m
 
     @cached_property
     def _cover_pairs(self) -> list[tuple[int, int]]:
         # set at construction when validated; certified on first use otherwise
-        return _validate_order(self.labels, self._leq)
+        return _validate_order(self.labels, self._up)
 
     @cached_property
     def cover_matrix(self) -> np.ndarray:
@@ -291,11 +325,40 @@ class Poset:
             downs[v].append(u)
         return ups, downs
 
+    @cached_property
+    def _down(self) -> list[int]:
+        """Down-set rows (bit j of row i iff j <= i), closed over the lower
+        covers in descending up-set size, a linear extension."""
+        _, downs = self._cover_lists
+        down = [1 << v for v in range(self.n)]
+        for v in sorted(range(self.n), key=lambda i: -self._up[i].bit_count()):
+            row = down[v]
+            for u in downs[v]:
+                row |= down[u]
+            down[v] = row
+        return down
+
+    def _rows_over_extension(self) -> tuple[list[int], list[int]]:
+        """Up-set and down-set rows re-indexed along a linear extension."""
+        return _along_extension(self._up, self._down)[1:]
+
     def minimal_elements(self) -> list[int]:
-        return [int(i) for i in np.nonzero(~self.strict_matrix.any(axis=0))[0]]
+        _, downs = self._cover_lists
+        return [v for v in range(self.n) if not downs[v]]
 
     def maximal_elements(self) -> list[int]:
-        return [int(i) for i in np.nonzero(~self.strict_matrix.any(axis=1))[0]]
+        ups, _ = self._cover_lists
+        return [v for v in range(self.n) if not ups[v]]
+
+    def first_comparable_pair(self, members: Sequence[int]) -> tuple[int, int] | None:
+        """The first (a, b) with a != b and a <= b, scanning ``members`` in
+        their given order for a and then for b; None for an antichain."""
+        mask = sum(1 << m for m in set(members))
+        for a in members:
+            hit = self._up[a] & mask & ~(1 << a)
+            if hit:
+                return a, next(b for b in members if hit >> b & 1)
+        return None
 
     def index(self, label) -> int:
         return self._label_index[label]
@@ -306,8 +369,8 @@ class Poset:
 
     def topological_order(self) -> list[int]:
         """A linear extension: ascending number of elements below, index tiebreak."""
-        below = self._leq.sum(axis=0)
-        return sorted(range(self.n), key=lambda v: (int(below[v]), v))
+        down = self._down
+        return sorted(range(self.n), key=lambda v: (down[v].bit_count(), v))
 
     def __repr__(self) -> str:
         return f"Poset(n={self.n})"
@@ -358,17 +421,17 @@ class Poset:
 
     def dual(self) -> "Poset":
         """Same elements with the order reversed (an involution)."""
-        # the read-only transposed view is safe to share: ``_leq`` never changes
+        # the rows are never mutated, so both posets can share them
         d = Poset.__new__(Poset)
         d.labels = list(self.labels)
-        d._leq = self._leq.T
+        d._up = self._down
+        d._down = self._up
         d._cover_pairs = sorted((v, u) for u, v in self._cover_pairs)
         return d
 
     def induced(self, indices: Sequence[int]) -> "Poset":
         idx = list(indices)
-        sub = self._leq[np.ix_(idx, idx)]
-        return Poset([self.labels[i] for i in idx], sub, validate=False)
+        return Poset._from_rows([self.labels[i] for i in idx], _selected(self._up, idx), False)
 
 
 # -- isomorphism -------------------------------------------------------------
@@ -382,11 +445,9 @@ def _refine_colors(p: Poset, q: Poset) -> tuple[list[int], list[int]] | None:
     """
 
     def initial(r: Poset) -> list[tuple]:
-        below = r.leq_matrix.sum(axis=0)
-        above = r.leq_matrix.sum(axis=1)
         ups, downs = r._cover_lists
         return [
-            (int(below[v]), int(above[v]), len(downs[v]), len(ups[v]))
+            (r._down[v].bit_count(), r._up[v].bit_count(), len(downs[v]), len(ups[v]))
             for v in range(r.n)
         ]
 
@@ -445,8 +506,7 @@ def find_isomorphism(p: Poset, q: Poset) -> list[int] | None:
         candidates.setdefault(c, []).append(j)
     # most-constrained p-vertices first
     order = sorted(range(p.n), key=lambda v: (len(candidates.get(pc[v], ())), pc[v], v))
-    pm = p.leq_matrix
-    qm = q.leq_matrix
+    pup, pdown, qup, qdown = p._up, p._down, q._up, q._down
     mapping = [-1] * p.n
     used = [False] * q.n
     mapped: list[int] = []
@@ -459,14 +519,17 @@ def find_isomorphism(p: Poset, q: Poset) -> list[int] | None:
             return mapping
         u = order[d]
         cands = candidates.get(pc[u], ())
-        tgt = [mapping[v] for v in mapped]
+        above, below = pup[u], pdown[u]
         for i in range(stack[-1], len(cands)):
             x = cands[i]
             if used[x]:
                 continue
-            if not np.array_equal(pm[u, mapped], qm[x, tgt]):
-                continue
-            if not np.array_equal(pm[mapped, u], qm[tgt, x]):
+            qa, qb = qup[x], qdown[x]
+            if any(
+                (above >> v & 1) != (qa >> mapping[v] & 1)
+                or (below >> v & 1) != (qb >> mapping[v] & 1)
+                for v in mapped
+            ):
                 continue
             stack[-1] = i + 1
             mapping[u] = x

@@ -1,0 +1,48 @@
+"""Malformed poset documents: cover pairs, level values and element labels."""
+
+import json
+
+import numpy as np
+import pytest
+
+from tamari import Poset, PosetError, tamari_poset
+from tamari.io import document_to_poset, poset_document
+
+
+def _doc(**fields) -> dict:
+    doc = {"format_version": 1, "kind": "generic", "elements": ["a", "b"], "covers": [[0, 1]]}
+    doc.update(fields)
+    return json.loads(json.dumps(doc))
+
+
+@pytest.mark.parametrize("pair", [[True, 1], [0, 1.0], ["0", "1"], [0]])
+def test_cover_that_is_not_two_indices_is_rejected(pair):
+    with pytest.raises(PosetError) as err:
+        document_to_poset(_doc(covers=[pair]))
+    assert repr(pair) in str(err.value)
+
+
+def test_numpy_integer_covers_are_accepted():
+    p = Poset.from_covers(list("abc"), np.array([[0, 1], [1, 2]]))
+    assert p.covers == [(0, 1), (1, 2)]
+
+
+@pytest.mark.parametrize("level", [0.5, "3", True, None])
+def test_level_that_is_not_an_integer_is_rejected(level):
+    with pytest.raises(ValueError) as err:
+        document_to_poset(_doc(levels={"0": 0, "1": level}))
+    assert str(err.value) == f"level {level!r} of key '1' is not an integer"
+
+
+def test_duplicate_element_label_is_rejected():
+    with pytest.raises(ValueError) as err:
+        document_to_poset(_doc(elements=["a", "b", "a"], covers=[[0, 1]]))
+    assert str(err.value) == "duplicate element label 'a'"
+
+
+def test_tamari_document_with_levels_still_reads_back():
+    p = tamari_poset("b", 3)
+    doc = json.loads(json.dumps(poset_document(p, levels=p.level_map("highest"))))
+    q = document_to_poset(doc)
+    assert q.labels == doc["elements"]
+    assert q.covers == p.covers

@@ -1,0 +1,247 @@
+"""The bitset-row order store against the dense readers it replaced.
+
+Each ``dense_*`` function below is the earlier matrix implementation of a
+``Poset`` reader, kept here as a reference; the row-based readers must agree
+with it exactly on random posets, index-shuffled copies and the Tamari
+families.  ``find_isomorphism`` is cross-checked against networkx on Hasse
+diagrams, and a guard test shows that no valid-input path unpacks the order
+into a dense matrix.
+"""
+
+import json
+import random
+
+import networkx as nx
+import numpy as np
+import pytest
+from networkx.algorithms.isomorphism import DiGraphMatcher
+
+import tamari.poset
+from conftest import random_poset
+from tamari import (
+    Poset,
+    find_isomorphism,
+    gk_partition,
+    is_lattice,
+    max_antichain_union,
+    max_chain_union,
+    tamari_poset,
+    verify_claims,
+)
+from tamari.io import document_to_poset, dumps_document, poset_document, poset_to_dot
+from tamari.theorems import shifted_level_map
+
+
+# -- dense references ------------------------------------------------------------
+
+
+def dense_topological_order(p: Poset) -> list[int]:
+    below = p.leq_matrix.sum(axis=0)
+    return sorted(range(p.n), key=lambda v: (int(below[v]), v))
+
+
+def dense_minimal_elements(p: Poset) -> list[int]:
+    return [int(i) for i in np.nonzero(~p.strict_matrix.any(axis=0))[0]]
+
+
+def dense_maximal_elements(p: Poset) -> list[int]:
+    return [int(i) for i in np.nonzero(~p.strict_matrix.any(axis=1))[0]]
+
+
+def dense_induced(p: Poset, idx: list[int]) -> np.ndarray:
+    return p.leq_matrix[np.ix_(idx, idx)]
+
+
+def dense_dual(p: Poset) -> np.ndarray:
+    return p.leq_matrix.T
+
+
+def dense_first_comparable_pair(p: Poset, members: list[int]):
+    """The fiber check as the document reader did it: first hit in row-major
+    order over the member list, an element never compared with itself."""
+    idx = np.array(members)
+    bad = p.leq_matrix[np.ix_(idx, idx)] & (idx[:, None] != idx[None, :])
+    if not bad.any():
+        return None
+    i, j = np.argwhere(bad)[0]
+    return int(idx[i]), int(idx[j])
+
+
+# -- posets under test -------------------------------------------------------------
+
+
+def shuffled(p: Poset, rng: random.Random) -> Poset:
+    perm = list(range(p.n))
+    rng.shuffle(perm)
+    inv = np.argsort(perm)
+    return Poset(list(range(p.n)), p.leq_matrix[np.ix_(inv, inv)])
+
+
+def sample_posets():
+    rng = random.Random(606)
+    out = []
+    for _ in range(25):
+        p = random_poset(rng, rng.randint(1, 40), edge_prob=rng.choice([0.05, 0.15, 0.4]))
+        out += [p, shuffled(p, rng)]
+    out += [tamari_poset(kind, n) for kind in "ab" for n in range(1, 7)]
+    out += [shuffled(tamari_poset(kind, n), rng) for kind in "ab" for n in (3, 4)]
+    return out
+
+
+SAMPLES = sample_posets()
+
+
+def test_topological_order_matches_dense():
+    for p in SAMPLES:
+        assert p.topological_order() == dense_topological_order(p)
+
+
+def test_extremal_elements_match_dense():
+    for p in SAMPLES:
+        assert p.minimal_elements() == dense_minimal_elements(p)
+        assert p.maximal_elements() == dense_maximal_elements(p)
+
+
+def test_induced_matches_dense():
+    rng = random.Random(1)
+    for p in SAMPLES:
+        for _ in range(3):
+            idx = rng.sample(range(p.n), rng.randint(1, p.n))
+            if rng.random() < 0.5:
+                idx.sort()
+            sub = p.induced(idx)
+            assert sub.labels == [p.labels[i] for i in idx]
+            assert (sub.leq_matrix == dense_induced(p, idx)).all()
+
+
+def test_dual_matches_dense():
+    for p in SAMPLES:
+        d = p.dual()
+        assert (d.leq_matrix == dense_dual(p)).all()
+        assert d.topological_order() == dense_topological_order(d)
+        assert (d.dual().leq_matrix == p.leq_matrix).all()
+
+
+def test_first_comparable_pair_matches_dense_fiber_check():
+    rng = random.Random(2)
+    for p in SAMPLES:
+        for _ in range(10):
+            # duplicates model two document keys naming one element
+            members = [rng.randrange(p.n) for _ in range(rng.randint(1, min(p.n, 8)))]
+            assert p.first_comparable_pair(members) == dense_first_comparable_pair(p, members)
+
+
+def test_level_fibers_are_antichains_by_both_checks():
+    for p in SAMPLES:
+        for mode in ("lowest", "highest"):
+            for members in p.level_map(mode).fibers().values():
+                assert p.first_comparable_pair(members) is None
+                assert dense_first_comparable_pair(p, members) is None
+
+
+# -- one store -------------------------------------------------------------------------
+
+
+def _arrays(p: Poset) -> list[str]:
+    return [k for k, v in vars(p).items() if isinstance(v, np.ndarray)]
+
+
+def test_posets_keep_rows_not_matrices():
+    p = tamari_poset("b", 4)
+    built = [
+        Poset(list(range(p.n)), p.leq_matrix),
+        Poset.from_covers(p.labels, p.covers),
+        Poset.from_predicate(list("abc"), lambda a, b: a <= b),
+        p.dual(),
+        p.induced(range(0, p.n, 3)),
+        p.leveled_subposet().poset,
+    ]
+    for q in built + [tamari_poset.__wrapped__("a", 5)]:
+        assert _arrays(q) == []
+    assert "leq_matrix" in vars(p)  # a view, once asked for, is cached
+
+
+# -- isomorphism against networkx ---------------------------------------------------
+
+
+def hasse(p: Poset) -> nx.DiGraph:
+    g = nx.DiGraph()
+    g.add_nodes_from(range(p.n))
+    g.add_edges_from(p.covers)
+    return g
+
+
+def check_isomorphism(p: Poset, q: Poset) -> None:
+    mapping = find_isomorphism(p, q)
+    assert (mapping is not None) == DiGraphMatcher(hasse(p), hasse(q)).is_isomorphic()
+    if mapping is not None:
+        assert sorted(mapping) == list(range(q.n))
+        assert all(
+            p.leq(i, j) == q.leq(mapping[i], mapping[j]) for i in range(p.n) for j in range(p.n)
+        )
+
+
+def relabelled(p: Poset, rng: random.Random) -> Poset:
+    perm = list(range(p.n))
+    rng.shuffle(perm)
+    return Poset.from_covers(list(range(p.n)), [(perm[u], perm[v]) for u, v in p.covers])
+
+
+def one_cover_mutant(p: Poset, rng: random.Random) -> Poset:
+    """Drop one cover, or rewire it to another forward pair of the index order
+    (which is a linear extension of ``random_poset`` outputs)."""
+    covers = list(p.covers)
+    covers.pop(rng.randrange(len(covers)))
+    if rng.random() < 0.5:
+        u, v = sorted(rng.sample(range(p.n), 2))
+        covers.append((u, v))
+    return Poset.from_covers(p.labels, covers)
+
+
+def test_isomorphism_matches_networkx_on_random_posets():
+    rng = random.Random(66)
+    for _ in range(60):
+        p = random_poset(rng, rng.randint(2, 14), edge_prob=rng.choice([0.1, 0.25, 0.5]))
+        check_isomorphism(p, relabelled(p, rng))
+        if p.covers:
+            check_isomorphism(p, one_cover_mutant(p, rng))
+        check_isomorphism(p, p.dual())
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_isomorphism_matches_networkx_on_tamari_duals(n):
+    p = tamari_poset("b", n)
+    check_isomorphism(p, p.dual())
+    sub = p.leveled_subposet().poset
+    check_isomorphism(sub, sub.dual())
+
+
+# -- no dense unpacking on any valid input --------------------------------------------
+
+
+def test_valid_inputs_never_unpack_the_order(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("dense N x N view built on a valid-input path")
+
+    monkeypatch.setattr(tamari.poset, "_bool_rows", forbidden)
+    monkeypatch.setattr(Poset, "cover_matrix", property(forbidden))
+    tamari_poset.cache_clear()
+    try:
+        reports = verify_claims("all", range(2, 8))
+        assert reports and all(r.status != "refuted" for r in reports)
+        for kind in "ab":
+            p = tamari_poset(kind, 5)
+            assert sum(gk_partition(p).parts) == p.n
+            assert max_chain_union(p, 2).total > 0
+            for k in (1, 2):
+                assert max_antichain_union(p, k).total > 0
+            assert is_lattice(p)
+            for n in range(1, 7):
+                p = tamari_poset(kind, n)
+                levels = shifted_level_map(p)
+                text = dumps_document(poset_document(p, kind=f"tamari_{kind}", levels=levels))
+                assert poset_to_dot(p, levels=levels)
+                q = document_to_poset(json.loads(text))
+                assert q.covers == p.covers
+    finally:
+        tamari_poset.cache_clear()
