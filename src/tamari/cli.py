@@ -21,7 +21,7 @@ from .io import (
     poset_to_dot,
 )
 from .lattices import POSET_MAX_N, tamari_poset
-from .theorems import REFUTED, shifted_level_map, verify_claims
+from .theorems import CLAIMS, REFUTED, shifted_level_map, verify_claims
 
 DEFAULT_CAP = 7
 
@@ -54,8 +54,7 @@ def build_parser() -> argparse.ArgumentParser:
                           help="report the maximum union of k chains instead")
 
     p_verify = subs.add_parser("verify", help="machine-check the claims registry")
-    p_verify.add_argument("--claim", choices=("lemma1", "thm1", "remarks", "all"),
-                          required=True)
+    p_verify.add_argument("--claim", choices=(*CLAIMS, "all"), required=True)
     _add_common(p_verify, with_type=False)
 
     p_export = subs.add_parser("export", help="write the Hasse diagram (DOT or JSON)")

@@ -200,8 +200,11 @@ def _check_n(n: int) -> None:
 def enumerate_type_b(n: int) -> list[Vector]:
     """All valid type B vectors of length n in lexicographic order (inf greatest).
 
-    Backtracking with prefix pruning: rule (i) is checked incrementally as
-    each entry is placed, and rule (ii) is enforced by recording the forced
+    Backtracking with prefix pruning.  Rule (i) admits a finite ``val`` at
+    0-based position ``pos`` iff ``entries[pos - d] + d <= val`` for every
+    ``1 <= d <= min(val, pos)``; a running maximum of those terms, one more
+    term per value, is the bound ``val`` must reach, and no finite value
+    fits once it is inf.  Rule (ii) is enforced by recording the forced
     positions (which always lie strictly to the right of the trigger).
     """
     _check_n(n)
@@ -214,14 +217,13 @@ def enumerate_type_b(n: int) -> list[Vector]:
             out.append(tuple(entries))
             return
         if not forced[pos]:
+            reach: Entry = 0
             for val in range(n):
-                ok = True
-                for i in range(pos):
-                    bound = val - (pos - i)
-                    if bound >= 0 and entries[i] > bound:
-                        ok = False
+                if 0 < val <= pos:
+                    reach = max(reach, entries[pos - val] + val)
+                    if reach == INF:
                         break
-                if not ok:
+                if reach > val:
                     continue
                 entries[pos] = val
                 if val >= pos + 1:
@@ -240,7 +242,12 @@ def enumerate_type_b(n: int) -> list[Vector]:
 
 
 def enumerate_type_a(n: int) -> list[Vector]:
-    """All valid type A vectors of length n in lexicographic order."""
+    """All valid type A vectors of length n in lexicographic order.
+
+    Rule (ii) caps the value at 0-based position ``pos`` by the smallest
+    earlier entry that reaches it, ``min(e for e in entries[:pos] if e >
+    pos)``, or ``n`` if none does; rule (i) is the loop's lower end.
+    """
     _check_n(n)
     out: list[Vector] = []
     entries = [0] * n
@@ -249,10 +256,10 @@ def enumerate_type_a(n: int) -> list[Vector]:
         if pos == n:
             out.append(tuple(entries))
             return
-        for val in range(pos + 1, n + 1):
-            if all(val <= entries[i] for i in range(pos) if entries[i] >= pos + 1):
-                entries[pos] = val
-                place(pos + 1)
+        cap = min((e for e in entries[:pos] if e > pos), default=n)
+        for val in range(pos + 1, cap + 1):
+            entries[pos] = val
+            place(pos + 1)
 
     place(0)
     return out

@@ -154,10 +154,6 @@ class _ChainNetwork:
             left -= gain * sent
         return gains
 
-    def augment(self) -> tuple[int, int]:
-        """A single unit: the phase capped at one."""
-        return self.phase(1)
-
     def decompose(self, k: int) -> list[list[int]]:
         """Peel the k unit paths off the flow; chains as original element indices."""
         net = self.net

@@ -61,23 +61,35 @@ def document_to_poset(doc: Mapping) -> Poset:
 
     The element ordering is preserved exactly, so a rebuilt Tamari document
     is not merely isomorphic to the original but has the identical order.
-    Documents without covers cannot reconstruct an order and are rejected.
+    Documents without covers cannot reconstruct an order and are rejected,
+    as is a field of the wrong JSON type, with a ValueError naming it.
     """
+    if not isinstance(doc, Mapping):
+        raise ValueError(f"document is not a JSON object but {type(doc).__name__}")
     version = doc.get("format_version")
     if version != FORMAT_VERSION:
         raise ValueError(f"unsupported format_version {version!r}")
     if "covers" not in doc:
         raise ValueError("document has no covers; cannot rebuild the order")
-    labels = list(doc["elements"])
+    labels = doc.get("elements")
+    if not (isinstance(labels, list) and all(isinstance(lab, str) for lab in labels)):
+        raise ValueError("document field 'elements' is not a list of strings")
+    if not isinstance(doc["covers"], list):
+        raise ValueError("document field 'covers' is not a list")
     if len(set(labels)) < len(labels):
         dup = next(lab for i, lab in enumerate(labels) if lab in labels[:i])
         raise ValueError(f"duplicate element label {dup!r}")
     p = Poset.from_covers(labels, doc["covers"])
     levels = doc.get("levels")
     if levels is not None:
+        if not isinstance(levels, Mapping):
+            raise ValueError("document field 'levels' is not an object")
         fibers: dict[int, list[int]] = {}
         for key, lv in levels.items():
-            i = int(key)
+            try:
+                i = int(key)
+            except ValueError:
+                i = -1  # not an integer: rejected below like an index out of range
             if not 0 <= i < len(labels):
                 raise ValueError(f"level key {key!r} is not an element index 0..{len(labels) - 1}")
             if not isinstance(lv, int) or isinstance(lv, bool):

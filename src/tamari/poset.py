@@ -194,7 +194,7 @@ class LeveledSubposet:
 class Poset:
     """Immutable finite poset over an indexed sequence of labels."""
 
-    def __init__(self, labels: Sequence, leq: np.ndarray, *, validate: bool = True):
+    def __init__(self, labels: Sequence, leq: np.ndarray):
         labels = list(labels)
         if not labels:
             raise PosetError("poset needs at least one element", kind="empty")
@@ -203,18 +203,16 @@ class Poset:
         if leq.shape != (n, n):
             raise PosetError(f"relation shape {leq.shape} does not match {n} labels")
         self.labels, self._up = labels, _bit_rows(leq)
-        if validate:
-            self._cover_pairs = _validate_order(labels, self._up)
+        self._cover_pairs = _validate_order(labels, self._up)
 
     @classmethod
-    def _from_rows(cls, labels: Sequence, up: list[int], validate: bool = True) -> "Poset":
+    def _from_rows(cls, labels: Sequence, up: list[int]) -> "Poset":
         """Build from up-set rows (bit j of ``up[i]`` iff i <= j)."""
         p = cls.__new__(cls)
         p.labels, p._up = list(labels), up
         if not p.labels:
             raise PosetError("poset needs at least one element", kind="empty")
-        if validate:
-            p._cover_pairs = _validate_order(p.labels, up)
+        p._cover_pairs = _validate_order(p.labels, up)
         return p
 
     @classmethod
@@ -296,11 +294,6 @@ class Poset:
         m = self.leq_matrix & ~np.eye(self.n, dtype=bool)
         m.setflags(write=False)
         return m
-
-    @cached_property
-    def _cover_pairs(self) -> list[tuple[int, int]]:
-        # set at construction when validated; certified on first use otherwise
-        return _validate_order(self.labels, self._up)
 
     @cached_property
     def cover_matrix(self) -> np.ndarray:
@@ -431,7 +424,7 @@ class Poset:
 
     def induced(self, indices: Sequence[int]) -> "Poset":
         idx = list(indices)
-        return Poset._from_rows([self.labels[i] for i in idx], _selected(self._up, idx), False)
+        return Poset._from_rows([self.labels[i] for i in idx], _selected(self._up, idx))
 
 
 # -- isomorphism -------------------------------------------------------------
@@ -440,52 +433,41 @@ class Poset:
 def _refine_colors(p: Poset, q: Poset) -> tuple[list[int], list[int]] | None:
     """Iterated neighborhood refinement over the cover digraphs.
 
-    Returns stable color vectors for both posets, or None as soon as the
-    color histograms diverge (no isomorphism can exist then).
+    p and q are refined as one disjoint union, q's elements numbered after
+    p's, so a colour means the same in both.  Returns stable color vectors
+    for both posets, or None as soon as the color histograms diverge (no
+    isomorphism can exist then).
     """
 
-    def initial(r: Poset) -> list[tuple]:
-        ups, downs = r._cover_lists
-        return [
-            (r._down[v].bit_count(), r._up[v].bit_count(), len(downs[v]), len(ups[v]))
-            for v in range(r.n)
-        ]
+    def number(keys: Iterable[tuple]) -> list[int]:
+        # colours by first appearance of each key, a fresh table per round
+        table: dict[tuple, int] = {}
+        return [table.setdefault(k, len(table)) for k in keys]
 
-    def step(r: Poset, colors: list[int]) -> list[tuple]:
-        ups, downs = r._cover_lists
-        return [
-            (
-                colors[v],
-                tuple(sorted(colors[u] for u in ups[v])),
-                tuple(sorted(colors[u] for u in downs[v])),
-            )
-            for v in range(r.n)
-        ]
-
-    interned: dict[tuple, int] = {}
-
-    def intern(keys: list[tuple]) -> list[int]:
-        out = []
-        for k in keys:
-            if k not in interned:
-                interned[k] = len(interned)
-            out.append(interned[k])
-        return out
-
-    pc = intern(initial(p))
-    qc = intern(initial(q))
+    colors = number(
+        (r._down[v].bit_count(), r._up[v].bit_count(), len(downs[v]), len(ups[v]))
+        for r in (p, q)
+        for ups, downs in [r._cover_lists]
+        for v in range(r.n)
+    )
+    if sorted(colors[: p.n]) != sorted(colors[p.n :]):
+        return None
+    # shifted only once the cheap first histograms agree
+    ups, downs = (
+        a + [[u + p.n for u in us] for us in b]
+        for a, b in zip(p._cover_lists, q._cover_lists)
+    )
     while True:
+        classes = len(set(colors))
+        colors = number(
+            (c, tuple(sorted(colors[u] for u in us)), tuple(sorted(colors[u] for u in ds)))
+            for c, us, ds in zip(colors, ups, downs)
+        )
+        pc, qc = colors[: p.n], colors[p.n :]
         if sorted(pc) != sorted(qc):
             return None
-        classes = len(set(pc))
-        interned.clear()
-        pc2 = intern(step(p, pc))
-        qc2 = intern(step(q, qc))
-        if sorted(pc2) != sorted(qc2):
-            return None
-        if len(set(pc2)) == classes:
-            return pc2, qc2
-        pc, qc = pc2, qc2
+        if len(set(colors)) == classes:
+            return pc, qc
 
 
 def find_isomorphism(p: Poset, q: Poset) -> list[int] | None:
@@ -493,7 +475,10 @@ def find_isomorphism(p: Poset, q: Poset) -> list[int] | None:
 
     Returns a mapping ``m`` with ``m[i]`` the q-index matched to p-index i,
     or None if the posets are not isomorphic.  Exhaustive, not heuristic:
-    a None answer is a proof of non-isomorphism.
+    a None answer is a proof of non-isomorphism.  A candidate ``x`` for
+    ``u`` is checked on covers only: the images of u's mapped upper covers
+    must be exactly x's mapped upper covers, and likewise below.  A
+    bijection that keeps covers both ways is an order isomorphism.
     """
     if p.n != q.n:
         return None
@@ -506,41 +491,39 @@ def find_isomorphism(p: Poset, q: Poset) -> list[int] | None:
         candidates.setdefault(c, []).append(j)
     # most-constrained p-vertices first
     order = sorted(range(p.n), key=lambda v: (len(candidates.get(pc[v], ())), pc[v], v))
-    pup, pdown, qup, qdown = p._up, p._down, q._up, q._down
+    (pups, pdowns), (qups, qdowns) = p._cover_lists, q._cover_lists
     mapping = [-1] * p.n
     used = [False] * q.n
-    mapped: list[int] = []
+
+    def images(covers: list[int]) -> list[int]:
+        return sorted(mapping[v] for v in covers if mapping[v] >= 0)
 
     # stack[d]: index of the next candidate to try for order[d]
     stack = [0]
     while stack:
-        d = len(mapped)
+        d = len(stack) - 1
         if d == len(order):
             return mapping
         u = order[d]
         cands = candidates.get(pc[u], ())
-        above, below = pup[u], pdown[u]
+        above, below = images(pups[u]), images(pdowns[u])
         for i in range(stack[-1], len(cands)):
             x = cands[i]
-            if used[x]:
-                continue
-            qa, qb = qup[x], qdown[x]
-            if any(
-                (above >> v & 1) != (qa >> mapping[v] & 1)
-                or (below >> v & 1) != (qb >> mapping[v] & 1)
-                for v in mapped
+            if (
+                used[x]
+                or above != [y for y in qups[x] if used[y]]
+                or below != [y for y in qdowns[x] if used[y]]
             ):
                 continue
             stack[-1] = i + 1
             mapping[u] = x
             used[x] = True
-            mapped.append(u)
             stack.append(0)
             break
         else:
             stack.pop()
-            if mapped:  # undo the choice one level up
-                v = mapped.pop()
+            if stack:  # undo the choice one level up
+                v = order[len(stack) - 1]
                 used[mapping[v]] = False
                 mapping[v] = -1
     return None

@@ -46,3 +46,20 @@ def test_tamari_document_with_levels_still_reads_back():
     q = document_to_poset(doc)
     assert q.labels == doc["elements"]
     assert q.covers == p.covers
+
+
+@pytest.mark.parametrize("doc, message", [
+    ([{"format_version": 1}], "document is not a JSON object but list"),
+    (_doc(elements="abc"), "document field 'elements' is not a list of strings"),
+    (_doc(elements={"x": 1, "y": 2}), "document field 'elements' is not a list of strings"),
+    ({"format_version": 1, "covers": []}, "document field 'elements' is not a list of strings"),
+    (_doc(elements=[[0], [1]]), "document field 'elements' is not a list of strings"),
+    (_doc(covers=None), "document field 'covers' is not a list"),
+    (_doc(levels=[0, 1]), "document field 'levels' is not an object"),
+    (_doc(levels={"0": 0, "x": 1}), "level key 'x' is not an element index 0..1"),
+])
+def test_field_of_the_wrong_json_type_is_rejected(doc, message):
+    with pytest.raises(ValueError) as err:
+        document_to_poset(doc)
+    assert type(err.value) is ValueError
+    assert str(err.value) == message

@@ -231,7 +231,7 @@ def test_unit_arc_flows_are_binary():
     p = tamari_poset("b", 3)
     network = _ChainNetwork(p)
     for _ in range(3):
-        network.augment()
+        network.phase(1)
     for arc in network.profit_arcs:
         assert network.net.flow_on(arc) in (0, 1)
 
