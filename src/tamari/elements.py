@@ -200,11 +200,9 @@ def _check_n(n: int) -> None:
 def enumerate_type_b(n: int) -> list[Vector]:
     """All valid type B vectors of length n in lexicographic order (inf greatest).
 
-    Backtracking with prefix pruning.  Rule (i) admits a finite ``val`` at
-    0-based position ``pos`` iff ``entries[pos - d] + d <= val`` for every
-    ``1 <= d <= min(val, pos)``; a running maximum of those terms, one more
-    term per value, is the bound ``val`` must reach, and no finite value
-    fits once it is inf.  Rule (ii) is enforced by recording the forced
+    Backtracking with prefix pruning.  Rule (i): a finite ``val`` at 0-based
+    ``pos`` must reach the running maximum of ``entries[pos - d] + d`` over
+    ``1 <= d <= min(val, pos)``.  Rule (ii) is enforced by recording the forced
     positions (which always lie strictly to the right of the trigger).
     """
     _check_n(n)
@@ -244,9 +242,8 @@ def enumerate_type_b(n: int) -> list[Vector]:
 def enumerate_type_a(n: int) -> list[Vector]:
     """All valid type A vectors of length n in lexicographic order.
 
-    Rule (ii) caps the value at 0-based position ``pos`` by the smallest
-    earlier entry that reaches it, ``min(e for e in entries[:pos] if e >
-    pos)``, or ``n`` if none does; rule (i) is the loop's lower end.
+    The value at 0-based ``pos`` runs from ``pos + 1`` (rule (i)) to the
+    smallest earlier entry that reaches it, or ``n`` if none does (rule (ii)).
     """
     _check_n(n)
     out: list[Vector] = []

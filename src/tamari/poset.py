@@ -433,10 +433,9 @@ class Poset:
 def _refine_colors(p: Poset, q: Poset) -> tuple[list[int], list[int]] | None:
     """Iterated neighborhood refinement over the cover digraphs.
 
-    p and q are refined as one disjoint union, q's elements numbered after
-    p's, so a colour means the same in both.  Returns stable color vectors
-    for both posets, or None as soon as the color histograms diverge (no
-    isomorphism can exist then).
+    p and q are refined as one disjoint union, q after p.  Returns stable
+    color vectors for both posets, or None as soon as the color histograms
+    diverge (no isomorphism can exist then).
     """
 
     def number(keys: Iterable[tuple]) -> list[int]:
@@ -476,9 +475,9 @@ def find_isomorphism(p: Poset, q: Poset) -> list[int] | None:
     Returns a mapping ``m`` with ``m[i]`` the q-index matched to p-index i,
     or None if the posets are not isomorphic.  Exhaustive, not heuristic:
     a None answer is a proof of non-isomorphism.  A candidate ``x`` for
-    ``u`` is checked on covers only: the images of u's mapped upper covers
-    must be exactly x's mapped upper covers, and likewise below.  A
-    bijection that keeps covers both ways is an order isomorphism.
+    ``u`` must have as many mapped elements above and below as ``u``, among
+    them the images of the first mapped elements on u's cover paths; as the
+    partial map keeps the order, x then relates to every mapped element as u.
     """
     if p.n != q.n:
         return None
@@ -491,12 +490,21 @@ def find_isomorphism(p: Poset, q: Poset) -> list[int] | None:
         candidates.setdefault(c, []).append(j)
     # most-constrained p-vertices first
     order = sorted(range(p.n), key=lambda v: (len(candidates.get(pc[v], ())), pc[v], v))
-    (pups, pdowns), (qups, qdowns) = p._cover_lists, q._cover_lists
+    (pups, pdowns), pup, pdown, qup, qdown = p._cover_lists, p._up, p._down, q._up, q._down
     mapping = [-1] * p.n
-    used = [False] * q.n
+    pmask = qmask = 0  # the mapped p-elements and their images
 
-    def images(covers: list[int]) -> list[int]:
-        return sorted(mapping[v] for v in covers if mapping[v] >= 0)
+    def side(u: int, covers: list[list[int]], rows: list[int]) -> tuple[int, int]:
+        # images of the first mapped elements on u's cover paths, and the count on that side
+        hits, seen, todo = 0, {u}, [u]
+        for w in todo:  # todo grows while it is read
+            for v in covers[w]:
+                if pmask >> v & 1:
+                    hits |= 1 << mapping[v]
+                elif rows[v] & pmask and v not in seen:
+                    seen.add(v)
+                    todo.append(v)
+        return hits, (rows[u] & pmask).bit_count()
 
     # stack[d]: index of the next candidate to try for order[d]
     stack = [0]
@@ -506,26 +514,23 @@ def find_isomorphism(p: Poset, q: Poset) -> list[int] | None:
             return mapping
         u = order[d]
         cands = candidates.get(pc[u], ())
-        above, below = images(pups[u]), images(pdowns[u])
+        want = side(u, pups, pup) + side(u, pdowns, pdown)
         for i in range(stack[-1], len(cands)):
             x = cands[i]
-            if (
-                used[x]
-                or above != [y for y in qups[x] if used[y]]
-                or below != [y for y in qdowns[x] if used[y]]
-            ):
+            qa, qb = qup[x] & qmask, qdown[x] & qmask
+            got = (qa & want[0], qa.bit_count(), qb & want[2], qb.bit_count())
+            if qmask >> x & 1 or got != want:
                 continue
             stack[-1] = i + 1
             mapping[u] = x
-            used[x] = True
+            pmask, qmask = pmask | 1 << u, qmask | 1 << x
             stack.append(0)
             break
         else:
             stack.pop()
             if stack:  # undo the choice one level up
                 v = order[len(stack) - 1]
-                used[mapping[v]] = False
-                mapping[v] = -1
+                pmask, qmask = pmask ^ 1 << v, qmask ^ 1 << mapping[v]
     return None
 
 

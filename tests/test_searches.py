@@ -261,3 +261,16 @@ def test_long_chain_against_dual_matches_reference():
     n = 1500
     chain = Poset(list(range(n)), np.triu(np.ones((n, n), dtype=bool)))
     _assert_same_search(chain, chain.dual())
+
+
+def test_unlinked_classes_match_reference():
+    # ten 3-chains indexed bottom, top, middle: the search maps every bottom,
+    # then every top before any middle links a top to its bottom, so a top
+    # must be checked against the mapped elements below it, not only its
+    # mapped covers, or the search tries the orderings of the tops
+    copies = 10
+    p = Poset.from_covers(
+        range(3 * copies),
+        [pair for c in range(copies) for pair in ((3 * c, 3 * c + 2), (3 * c + 2, 3 * c + 1))],
+    )
+    _assert_same_search(p, _relabelled(random.Random(3), p))
