@@ -104,14 +104,15 @@ def _parse_n(parser: argparse.ArgumentParser, text: str, force: bool,
 
 
 def _cmd_enumerate(args, parser) -> int:
+    if args.hasse and args.format != "json":
+        parser.error("--hasse needs --format json")
     (n,) = _parse_n(parser, args.n, args.force, needs_poset=args.hasse)
     elements = enumerate_type_b(n) if args.type == "b" else enumerate_type_a(n)
     if args.format == "count":
         print(len(elements))
         return 0
     if args.format == "list":
-        for v in elements:
-            print(format_vector(v))
+        sys.stdout.write("".join([format_vector(v) + "\n" for v in elements]))
         return 0
     kind = f"tamari_{args.type}"
     if args.hasse:

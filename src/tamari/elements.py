@@ -48,9 +48,23 @@ def format_entry(e: Entry) -> str:
     return "inf" if e == INF else str(e)
 
 
+# The text of every entry an enumerated vector holds, built once.
+_ENTRY_TEXT = {e: format_entry(e) for e in (*range(MAX_N + 1), INF)}
+
+
 def format_vector(v: Sequence[Entry]) -> str:
-    """Render a vector in the canonical text form, e.g. ``(0,0,3,inf)``."""
-    return "(" + ",".join(format_entry(e) for e in v) + ")"
+    """Render a vector in the canonical text form, e.g. ``(0,0,3,inf)``.
+
+    Entries that are the ints ``0..MAX_N`` or ``INF`` itself are looked up
+    in a table; any other entry (``True``, ``1.0``, an int out of range)
+    goes through :func:`format_entry`, so the text is the same either way.
+    """
+    try:
+        body = ",".join([_ENTRY_TEXT[e] if type(e) is int or e is INF else format_entry(e)
+                         for e in v])
+    except KeyError:  # an int outside 0..MAX_N
+        body = ",".join(map(format_entry, v))
+    return "(" + body + ")"
 
 
 def parse_vector(text: str) -> Vector:

@@ -62,12 +62,14 @@ def document_to_poset(doc: Mapping) -> Poset:
     The element ordering is preserved exactly, so a rebuilt Tamari document
     is not merely isomorphic to the original but has the identical order.
     Documents without covers cannot reconstruct an order and are rejected,
-    as is a field of the wrong JSON type, with a ValueError naming it.
+    as is a field of the wrong JSON type or value (a ``format_version``
+    other than the int 1, a ``kind`` not in ``_KINDS``, an ``n`` that is
+    present but not a positive int), with a ValueError naming it.
     """
     if not isinstance(doc, Mapping):
         raise ValueError(f"document is not a JSON object but {type(doc).__name__}")
     version = doc.get("format_version")
-    if version != FORMAT_VERSION:
+    if type(version) is not int or version != FORMAT_VERSION:
         raise ValueError(f"unsupported format_version {version!r}")
     if "covers" not in doc:
         raise ValueError("document has no covers; cannot rebuild the order")
@@ -76,9 +78,16 @@ def document_to_poset(doc: Mapping) -> Poset:
         raise ValueError("document field 'elements' is not a list of strings")
     if not isinstance(doc["covers"], list):
         raise ValueError("document field 'covers' is not a list")
-    if len(set(labels)) < len(labels):
-        dup = next(lab for i, lab in enumerate(labels) if lab in labels[:i])
-        raise ValueError(f"duplicate element label {dup!r}")
+    kind = doc.get("kind")
+    if kind not in _KINDS:
+        raise ValueError(f"document field 'kind' is {kind!r}, not one of {_KINDS}")
+    if "n" in doc and (type(doc["n"]) is not int or doc["n"] < 1):
+        raise ValueError(f"document field 'n' is {doc['n']!r}, not a positive integer")
+    seen: set[str] = set()
+    for lab in labels:
+        if lab in seen:
+            raise ValueError(f"duplicate element label {lab!r}")
+        seen.add(lab)
     p = Poset.from_covers(labels, doc["covers"])
     levels = doc.get("levels")
     if levels is not None:

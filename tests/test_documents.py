@@ -5,8 +5,8 @@ import json
 import numpy as np
 import pytest
 
-from tamari import Poset, PosetError, tamari_poset
-from tamari.io import document_to_poset, poset_document
+from tamari import Poset, PosetError, enumerate_type_b, format_vector, tamari_poset
+from tamari.io import _KINDS, document_to_poset, poset_document
 
 
 def _doc(**fields) -> dict:
@@ -40,6 +40,21 @@ def test_duplicate_element_label_is_rejected():
     assert str(err.value) == "duplicate element label 'a'"
 
 
+def test_duplicate_label_named_is_the_first_repeat():
+    with pytest.raises(ValueError) as err:
+        document_to_poset(_doc(elements=["a", "b", "b", "a"], covers=[]))
+    assert str(err.value) == "duplicate element label 'b'"
+
+
+def test_duplicate_label_in_a_t10b_sized_listing_is_found():
+    labels = [format_vector(v) for v in enumerate_type_b(10)]
+    dup = labels[-2]
+    labels.append(dup)
+    with pytest.raises(ValueError) as err:
+        document_to_poset(_doc(elements=labels, covers=[]))
+    assert str(err.value) == f"duplicate element label {dup!r}"
+
+
 def test_tamari_document_with_levels_still_reads_back():
     p = tamari_poset("b", 3)
     doc = json.loads(json.dumps(poset_document(p, levels=p.level_map("highest"))))
@@ -57,6 +72,17 @@ def test_tamari_document_with_levels_still_reads_back():
     (_doc(covers=None), "document field 'covers' is not a list"),
     (_doc(levels=[0, 1]), "document field 'levels' is not an object"),
     (_doc(levels={"0": 0, "x": 1}), "level key 'x' is not an element index 0..1"),
+    (_doc(format_version=True), "unsupported format_version True"),
+    (_doc(format_version=1.0), "unsupported format_version 1.0"),
+    (_doc(format_version="1"), "unsupported format_version '1'"),
+    (_doc(kind="nonsense", n=99), f"document field 'kind' is 'nonsense', not one of {_KINDS}"),
+    ({"format_version": 1, "elements": ["a"], "covers": []},
+     f"document field 'kind' is None, not one of {_KINDS}"),
+    (_doc(n=0), "document field 'n' is 0, not a positive integer"),
+    (_doc(n=True), "document field 'n' is True, not a positive integer"),
+    (_doc(n=2.0), "document field 'n' is 2.0, not a positive integer"),
+    (_doc(n="2"), "document field 'n' is '2', not a positive integer"),
+    (_doc(n=None), "document field 'n' is None, not a positive integer"),
 ])
 def test_field_of_the_wrong_json_type_is_rejected(doc, message):
     with pytest.raises(ValueError) as err:

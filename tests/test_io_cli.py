@@ -219,6 +219,16 @@ def test_cli_poset_commands_stop_at_poset_cap():
     assert result.returncode != 0
 
 
+@pytest.mark.parametrize("fmt", ["list", "count"])
+def test_cli_hasse_needs_json(fmt):
+    # count and list never build the poset, so the poset cap must not be what stops n = 8
+    result = run_cli("enumerate", "--type", "b", "--n", "8", "--force", "--hasse", "--format", fmt)
+    assert result.returncode == 2
+    assert b"--hasse needs --format json" in result.stderr
+    assert b"poset cap" not in result.stderr
+    assert result.stdout == b""
+
+
 def test_tamari_poset_cap():
     with pytest.raises(ValueError):
         tamari_poset("b", 8)
