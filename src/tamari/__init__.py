@@ -57,6 +57,7 @@ from .poset import (
     PosetError,
     find_isomorphism,
     is_isomorphic,
+    is_lattice,
 )
 from .theorems import (
     REFUTED,
@@ -65,7 +66,6 @@ from .theorems import (
     VerificationReport,
     antichain_partition,
     first_chain,
-    is_lattice,
     second_chain,
     shifted_level_map,
     verify_claims,
@@ -110,13 +110,13 @@ __all__ = [
     "PosetError",
     "find_isomorphism",
     "is_isomorphic",
+    "is_lattice",
     "REFUTED",
     "SKIPPED",
     "VERIFIED",
     "VerificationReport",
     "antichain_partition",
     "first_chain",
-    "is_lattice",
     "second_chain",
     "shifted_level_map",
     "verify_claims",

@@ -162,8 +162,7 @@ def _cmd_export(args, parser) -> int:
         text = poset_to_dot(p, name=f"tamari_{args.type}_{n}",
                             levels=levels or p.level_map("lowest"))
     else:
-        doc = poset_document(p, kind=f"tamari_{args.type}", n=n,
-                             include_covers=True, levels=levels)
+        doc = poset_document(p, kind=f"tamari_{args.type}", n=n, levels=levels)
         text = dumps_document(doc)
     if args.out is None:
         sys.stdout.write(text)

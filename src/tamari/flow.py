@@ -48,6 +48,28 @@ class MinCostFlow:
         """Units currently routed through forward arc ``a``."""
         return self.cap[a ^ 1]
 
+    def peel_path(self, s: int, t: int) -> list[int]:
+        """Remove one unit of flow along an s->t path; return its forward arcs.
+
+        From each node the path leaves by the first forward arc that carries
+        flow, so k calls split a k-unit flow of an acyclic network into k
+        paths.
+        """
+        cap = self.cap
+        path: list[int] = []
+        u = s
+        while u != t:
+            for a in self.adj[u]:
+                if a % 2 == 0 and self.flow_on(a) > 0:
+                    break
+            else:
+                raise RuntimeError("flow decomposition ran out of arcs")
+            cap[a] += 1
+            cap[a ^ 1] -= 1
+            path.append(a)
+            u = self.to[a]
+        return path
+
     def init_potentials(self, topo_nodes: list[int], source: int) -> None:
         """Exact shortest-path distances on the initial DAG, one pass."""
         dist = [_UNREACHED] * self.n

@@ -156,26 +156,12 @@ class _ChainNetwork:
 
     def decompose(self, k: int) -> list[list[int]]:
         """Peel the k unit paths off the flow; chains as original element indices."""
-        net = self.net
-        chains: list[list[int]] = []
         profit_rank = {a: r for r, a in enumerate(self.profit_arcs)}
-        for _ in range(k):
-            chain: list[int] = []
-            u = self.S
-            while u != self.T:
-                for a in net.adj[u]:
-                    if a % 2 == 0 and net.flow_on(a) > 0:
-                        break
-                else:
-                    raise RuntimeError("flow decomposition ran out of arcs")
-                net.cap[a] += 1
-                net.cap[a ^ 1] -= 1
-                r = profit_rank.get(a)
-                if r is not None:
-                    chain.append(self.order[r])
-                u = net.to[a]
-            chains.append(chain)
-        return chains
+        return [
+            [self.order[profit_rank[a]] for a in self.net.peel_path(self.S, self.T)
+             if a in profit_rank]
+            for _ in range(k)
+        ]
 
 
 def max_chain_union(p: Poset, k: int) -> ChainFamily:

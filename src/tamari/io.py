@@ -11,12 +11,18 @@ from __future__ import annotations
 import json
 from typing import Mapping
 
-from .elements import format_vector
+from .elements import MAX_N, enumerate_type_a, enumerate_type_b, format_vector
 from .poset import LevelAssignment, Poset
 
 FORMAT_VERSION = 1
 
 _KINDS = ("tamari_a", "tamari_b", "generic")
+
+# kind -> (enumerator, name of T_n in messages) for the Tamari families
+_FAMILIES = {
+    "tamari_a": (enumerate_type_a, "T_{}"),
+    "tamari_b": (enumerate_type_b, "T_{}^B"),
+}
 
 
 def _label_text(label) -> str:
@@ -26,9 +32,15 @@ def _label_text(label) -> str:
 
 
 def elements_document(labels, kind: str = "generic", n: int | None = None) -> dict:
-    """A poset document carrying only the element list (no covers)."""
+    """A poset document carrying only the element list (no covers).
+
+    A Tamari kind names its family by ``n``, which defaults to the length of
+    the first element vector.
+    """
     if kind not in _KINDS:
         raise ValueError(f"kind must be one of {_KINDS}, got {kind!r}")
+    if n is None and kind in _FAMILIES and labels:
+        n = len(labels[0])
     doc: dict = {"format_version": FORMAT_VERSION, "kind": kind}
     if n is not None:
         doc["n"] = n
@@ -40,17 +52,14 @@ def poset_document(
     p: Poset,
     kind: str = "generic",
     n: int | None = None,
-    include_covers: bool = True,
     levels: LevelAssignment | None = None,
 ) -> dict:
-    """Build the JSON-ready mapping describing a poset.
+    """Build the JSON-ready mapping describing a poset and its covers.
 
-    ``covers`` is omitted when not requested (element-list exports) and
     ``levels`` is included only when a level assignment is supplied.
     """
     doc = elements_document(p.labels, kind=kind, n=n)
-    if include_covers:
-        doc["covers"] = [[u, v] for u, v in p.covers]
+    doc["covers"] = [[u, v] for u, v in p.covers]
     if levels is not None:
         doc["levels"] = {str(i): lv for i, lv in enumerate(levels.levels)}
     return doc
@@ -64,7 +73,10 @@ def document_to_poset(doc: Mapping) -> Poset:
     Documents without covers cannot reconstruct an order and are rejected,
     as is a field of the wrong JSON type or value (a ``format_version``
     other than the int 1, a ``kind`` not in ``_KINDS``, an ``n`` that is
-    present but not a positive int), with a ValueError naming it.
+    present but not a positive int), with a ValueError naming it.  A Tamari
+    document must give ``n``, list exactly the texts of its family's
+    elements in enumeration order, and have exactly their componentwise
+    covers.
     """
     if not isinstance(doc, Mapping):
         raise ValueError(f"document is not a JSON object but {type(doc).__name__}")
@@ -88,7 +100,10 @@ def document_to_poset(doc: Mapping) -> Poset:
         if lab in seen:
             raise ValueError(f"duplicate element label {lab!r}")
         seen.add(lab)
+    family = _family_vectors(kind, doc.get("n"), labels)
     p = Poset.from_covers(labels, doc["covers"])
+    if family is not None:
+        _check_family_covers(p, *family)
     levels = doc.get("levels")
     if levels is not None:
         if not isinstance(levels, Mapping):
@@ -111,6 +126,49 @@ def document_to_poset(doc: Mapping) -> Poset:
                     f"level fiber is not an antichain: {labels[bad[0]]!r} <= {labels[bad[1]]!r}"
                 )
     return p
+
+
+def _family_vectors(kind: str, n: int | None, labels: list[str]) -> tuple[str, list] | None:
+    """The name and elements of a Tamari document's family, after checking
+    that ``labels`` are exactly their texts; None for a generic document."""
+    if kind not in _FAMILIES:
+        return None
+    enumerate_family, name = _FAMILIES[kind]
+    if n is None:
+        raise ValueError(f"document field 'n' is missing; kind {kind!r} needs it")
+    if n > MAX_N:
+        raise ValueError(f"document field 'n' is {n}, beyond the enumeration cap {MAX_N}")
+    vectors = enumerate_family(n)
+    family = name.format(n)
+    if len(labels) != len(vectors):
+        raise ValueError(
+            f"document field 'elements' has {len(labels)} entries, but {family} "
+            f"has {len(vectors)} elements"
+        )
+    for i, (lab, v) in enumerate(zip(labels, vectors)):
+        if lab != format_vector(v):
+            raise ValueError(
+                f"document field 'elements' has {lab!r} at index {i}, where "
+                f"{family} has {format_vector(v)!r}"
+            )
+    return family, vectors
+
+
+def _check_family_covers(p: Poset, family: str, vectors: list) -> None:
+    """Require the rebuilt order to be the family's componentwise order,
+    naming the first wrong cover, else the first missing one."""
+    got, want = set(p.covers), set(Poset.from_vectors(vectors).covers)
+    if got == want:
+        return
+    if got - want:
+        u, v = min(got - want)
+        raise ValueError(
+            f"document field 'covers' has {p.labels[u]} < {p.labels[v]}, not a cover of {family}"
+        )
+    u, v = min(want - got)
+    raise ValueError(
+        f"document field 'covers' misses the cover {p.labels[u]} < {p.labels[v]} of {family}"
+    )
 
 
 def dumps_document(doc: Mapping) -> str:

@@ -4,13 +4,14 @@ A :class:`Poset` stores its order as bitset up-set rows (Python ints; bit j
 of row i is set iff element i is below or equal to element j) together with
 its cover pairs (the Hasse diagram).  Every other view, down-set rows, levels
 and the dense boolean matrices kept for tests and oracles, is derived from
-these two and cached.  Construction validates the order by a cover
-certificate: walking a linear extension from the top, each up-set must be
-the union of the up-sets of its covers, which are found along the way (Aho,
-Garey & Ullman, "The transitive reduction of a directed graph", 1972).  Only
-a relation that fails it is searched densely, to name the violated axiom and
-a witness.  Everything here is immutable after construction and safe to
-share between threads.
+these two and cached; ``Poset.from_vectors`` builds the componentwise order
+of vectors straight into rows, and ``is_lattice`` reads them.  Construction
+validates the order by a cover certificate: walking a linear extension from
+the top, each up-set must be the union of the up-sets of its covers, which
+are found along the way (Aho, Garey & Ullman, "The transitive reduction of a
+directed graph", 1972).  Only a relation that fails it is searched densely,
+to name the violated axiom and a witness.  Everything here is immutable
+after construction and safe to share between threads.
 """
 
 from __future__ import annotations
@@ -80,6 +81,26 @@ def _along_extension(up: list[int], *more: list[int]) -> tuple:
     return order, *(_selected(rows, order) for rows in (up, *more))
 
 
+def is_lattice(p: Poset) -> bool:
+    """True iff every pair has a unique least upper and greatest lower bound.
+
+    Up-sets and down-sets are bitset rows over a linear extension, so the
+    lowest common upper bound of a pair is a minimal one; a least upper
+    bound exists iff its up-set is exactly the common upper bounds (dually,
+    the highest common lower bound and its down-set).
+    """
+    _, up, down = _along_extension(p._up, p._down)
+    for a in range(p.n):
+        for b in range(a + 1, p.n):
+            ub = up[a] & up[b]
+            if not ub or up[(ub & -ub).bit_length() - 1] != ub:
+                return False
+            lb = down[a] & down[b]
+            if not lb or down[lb.bit_length() - 1] != lb:
+                return False
+    return True
+
+
 def _cover_certificate(up: list[int]) -> list[tuple[int, int]] | None:
     """Sorted cover pairs if the up-set rows form a partial order, else None.
 
@@ -111,6 +132,64 @@ def _cover_certificate(up: list[int]) -> list[tuple[int, int]] | None:
     return pairs
 
 
+def _antisymmetry_error(labels: list, i: int, j: int) -> PosetError:
+    return PosetError(
+        f"relation is not antisymmetric: {labels[i]!r} <= {labels[j]!r} and back",
+        kind="antisymmetry",
+        witness=(labels[i], labels[j]),
+    )
+
+
+def _first_cycle_pair(succ: list[list[int]]) -> tuple[int, int]:
+    """For a digraph with a cycle, the least node i on a cycle and the least
+    other member of its strongly connected component: the first mutually
+    related pair of the closure in row-major order.
+
+    The components come from Tarjan's algorithm (1972), run iteratively, so
+    the cost is linear in the arcs.
+    """
+    index = [-1] * len(succ)
+    low = [0] * len(succ)
+    on_stack = [False] * len(succ)
+    stack: list[int] = []
+    cyclic: list[list[int]] = []
+    count = 0
+    for root in range(len(succ)):
+        if index[root] >= 0:
+            continue
+        index[root] = low[root] = count
+        count += 1
+        stack.append(root)
+        on_stack[root] = True
+        work = [(root, iter(succ[root]))]
+        while work:
+            v, todo = work[-1]
+            for w in todo:
+                if index[w] < 0:
+                    index[w] = low[w] = count
+                    count += 1
+                    stack.append(w)
+                    on_stack[w] = True
+                    work.append((w, iter(succ[w])))
+                    break
+                if on_stack[w] and index[w] < low[v]:
+                    low[v] = index[w]
+            else:
+                work.pop()
+                if work and low[v] < low[work[-1][0]]:
+                    low[work[-1][0]] = low[v]
+                if low[v] == index[v]:  # v roots a component: pop it
+                    component = []
+                    while not component or component[-1] != v:
+                        w = stack.pop()
+                        on_stack[w] = False
+                        component.append(w)
+                    if len(component) > 1:
+                        cyclic.append(sorted(component))
+    first = min(cyclic)
+    return first[0], first[1]
+
+
 def _validate_order(labels: list, up: list[int]) -> list[tuple[int, int]]:
     """Return the sorted cover pairs of a partial order given by up-set rows.
 
@@ -135,11 +214,7 @@ def _validate_order(labels: list, up: list[int]) -> list[tuple[int, int]]:
     sym = leq & leq.T & ~np.eye(n, dtype=bool)
     if sym.any():
         i, j = (int(x) for x in np.argwhere(sym)[0])
-        raise PosetError(
-            f"relation is not antisymmetric: {labels[i]!r} <= {labels[j]!r} and back",
-            kind="antisymmetry",
-            witness=(labels[i], labels[j]),
-        )
+        raise _antisymmetry_error(labels, i, j)
     bad = _two_step(leq) & ~leq
     i, j = (int(x) for x in np.argwhere(bad)[0])
     k = int(np.nonzero(leq[i] & leq[:, j])[0][0])
@@ -223,12 +298,38 @@ class Poset:
         return cls._from_rows(labels, up)
 
     @classmethod
+    def from_vectors(cls, vectors: Sequence[Sequence]) -> "Poset":
+        """The componentwise order on equal-length vectors, validated like
+        any other poset; the vectors themselves are the labels.
+
+        Per coordinate, the vectors holding at least each value form a
+        bitset, and a vector's up-set is the intersection of its "at least"
+        sets, one per coordinate.
+        """
+        vectors = list(vectors)
+        width = len(vectors[0]) if vectors else 0
+        if any(len(v) != width for v in vectors):
+            raise PosetError("vectors of different lengths are not ordered componentwise")
+        up = [(1 << len(vectors)) - 1] * len(vectors)
+        for c in range(width):
+            holding: dict = {}
+            for i, v in enumerate(vectors):
+                holding[v[c]] = holding.get(v[c], 0) | 1 << i
+            at_least = 0
+            for value in sorted(holding, reverse=True):
+                at_least |= holding[value]
+                holding[value] = at_least
+            up = [row & holding[v[c]] for row, v in zip(up, vectors)]
+        return cls._from_rows(vectors, up)
+
+    @classmethod
     def from_covers(cls, labels: Sequence, covers: Iterable[tuple[int, int]]) -> "Poset":
         """Rebuild a poset from cover pairs (lower, upper) by transitive closure.
 
         Each pair must be two integer element indices.  Redundant pairs
         (implied by longer paths) are accepted and dropped; a cycle is
-        rejected as an antisymmetry violation.
+        rejected as an antisymmetry violation naming the least element on a
+        cycle and the least other element on a cycle through it.
         """
         labels = list(labels)
         n = len(labels)
@@ -254,18 +355,9 @@ class Poset:
                 indegree[v] -= 1
                 if indegree[v] == 0:
                     order.append(v)
+        if len(order) < n:
+            raise _antisymmetry_error(labels, *_first_cycle_pair(succ))
         reach = [1 << u for u in range(n)]
-        stuck = [u for u in range(n) if indegree[u]]
-        changed = bool(stuck)
-        while changed:  # close the cyclic part so validation names the pair
-            changed = False
-            for u in stuck:
-                row = reach[u]
-                for v in succ[u]:
-                    row |= reach[v]
-                if row != reach[u]:
-                    reach[u] = row
-                    changed = True
         for u in reversed(order):
             row = reach[u]
             for v in succ[u]:
@@ -331,10 +423,6 @@ class Poset:
             down[v] = row
         return down
 
-    def _rows_over_extension(self) -> tuple[list[int], list[int]]:
-        """Up-set and down-set rows re-indexed along a linear extension."""
-        return _along_extension(self._up, self._down)[1:]
-
     def minimal_elements(self) -> list[int]:
         _, downs = self._cover_lists
         return [v for v in range(self.n) if not downs[v]]
@@ -394,16 +482,30 @@ class Poset:
         return max(low)
 
     def level_map(self, mode: str = "lowest") -> LevelAssignment:
+        """The levels of one of :class:`LevelAssignment`'s modes.
+
+        An element lies on a maximum chain iff its longest chains down and
+        up add up to the longest chain; the shifted map raises every other
+        element by one.
+        """
         low, up = self._level_arrays
+        top = max(low)
         if mode == "lowest":
             return LevelAssignment(tuple(low), "lowest")
         if mode == "highest":
-            top = self.longest_chain_length()
             return LevelAssignment(tuple(top - u for u in up), "highest")
+        if mode == "shifted":
+            levels = tuple(lv if lv + u == top else lv + 1 for lv, u in zip(low, up))
+            return LevelAssignment(levels, "shifted")
         raise ValueError(f"unknown level mode {mode!r}")
 
     def leveled_subposet(self) -> LeveledSubposet:
-        """The subposet of elements on a chain of globally maximal length."""
+        """The subposet of elements on a chain of globally maximal length,
+        derived once per poset."""
+        return self._leveled
+
+    @cached_property
+    def _leveled(self) -> LeveledSubposet:
         low, up = self._level_arrays
         top = max(low)
         members = tuple(v for v in range(self.n) if low[v] + up[v] == top)

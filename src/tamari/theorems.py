@@ -28,7 +28,8 @@ from .elements import (
 )
 from .gk import chain_union_sizes
 from .lattices import tamari_poset
-from .poset import LevelAssignment, Poset, find_isomorphism
+# is_lattice lives with the order store and stays importable from here
+from .poset import LevelAssignment, Poset, find_isomorphism, is_lattice  # noqa: F401
 
 VERIFIED = "verified"
 REFUTED = "refuted"
@@ -157,10 +158,7 @@ def shifted_level_map(p: Poset) -> LevelAssignment:
     antichain property is still checked outright, since the claim registry
     leans on it; a failure would be an internal contradiction.
     """
-    low = p.level_map("lowest").levels
-    members = set(p.leveled_subposet().members)
-    levels = tuple(lv if i in members else lv + 1 for i, lv in enumerate(low))
-    assignment = LevelAssignment(levels, "shifted")
+    assignment = p.level_map("shifted")
     for fiber in assignment.fibers().values():
         bad = p.first_comparable_pair(fiber)
         if bad is not None:
@@ -328,26 +326,3 @@ def verify_claims(claim: str, ns: Sequence[int]) -> list[VerificationReport]:
             else:
                 reports.extend(verify_structure(n))
     return reports
-
-
-# -- lattice diagnostic -----------------------------------------------------------
-
-
-def is_lattice(p: Poset) -> bool:
-    """True iff every pair has a unique least upper and greatest lower bound.
-
-    Up-sets and down-sets are bitset rows over a linear extension, so the
-    lowest common upper bound of a pair is a minimal one; a least upper
-    bound exists iff its up-set is exactly the common upper bounds (dually,
-    the highest common lower bound and its down-set).
-    """
-    up, down = p._rows_over_extension()
-    for a in range(p.n):
-        for b in range(a + 1, p.n):
-            ub = up[a] & up[b]
-            if not ub or up[(ub & -ub).bit_length() - 1] != ub:
-                return False
-            lb = down[a] & down[b]
-            if not lb or down[lb.bit_length() - 1] != lb:
-                return False
-    return True

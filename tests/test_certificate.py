@@ -149,6 +149,21 @@ def test_cover_cycles_name_the_dense_witness():
         assert err.value.witness == tuple(labels[i] for i in expected[1])
 
 
+def test_long_cover_cycles_are_named_without_dense_rows(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("dense witness search on a cyclic cover list")
+
+    monkeypatch.setattr(tamari.poset, "_bool_rows", forbidden)
+    monkeypatch.setattr(tamari.poset, "_two_step", forbidden)
+    n = 20_000
+    # a chain with two back arcs: cycles on 12000..15000 and on 19900..19999
+    covers = [(i, i + 1) for i in range(n - 1)] + [(n - 1, n - 100), (15_000, 12_000)]
+    with pytest.raises(PosetError) as err:
+        Poset.from_covers([f"x{i}" for i in range(n)], covers)
+    assert err.value.kind == "antisymmetry"
+    assert err.value.witness == ("x12000", "x12001")
+
+
 def test_chain_missing_its_longest_pair_is_intransitive():
     n = 10
     leq = np.triu(np.ones((n, n), dtype=bool))

@@ -89,3 +89,67 @@ def test_field_of_the_wrong_json_type_is_rejected(doc, message):
         document_to_poset(doc)
     assert type(err.value) is ValueError
     assert str(err.value) == message
+
+
+def _t3b_doc(**fields) -> dict:
+    doc = poset_document(tamari_poset("b", 3), kind="tamari_b", n=3)
+    doc.update(fields)
+    return json.loads(json.dumps(doc))
+
+
+def _t3b_covers_plus(lower: str, upper: str) -> list:
+    doc = _t3b_doc()
+    return doc["covers"] + [[doc["elements"].index(lower), doc["elements"].index(upper)]]
+
+
+_T2 = {"format_version": 1, "kind": "tamari_a", "n": 2, "elements": ["(1,2)", "(2,2)"]}
+
+
+@pytest.mark.parametrize("doc, message", [
+    ({"format_version": 1, "kind": "tamari_b", "n": 3, "elements": ["(0,0,0)", "(5,x)"],
+      "covers": [[0, 1]]},
+     "document field 'elements' has 2 entries, but T_3^B has 20 elements"),
+    ({**_T2, "covers": [[1, 0]]},
+     "document field 'covers' has (2,2) < (1,2), not a cover of T_2"),
+    ({**_T2, "covers": []}, "document field 'covers' misses the cover (1,2) < (2,2) of T_2"),
+    ({**_T2, "n": None, "covers": [[0, 1]]},
+     "document field 'n' is None, not a positive integer"),
+    ({**_T2, "n": 11, "covers": [[0, 1]]},
+     "document field 'n' is 11, beyond the enumeration cap 10"),
+    ({**_T2, "elements": ["(2,2)", "(1,2)"], "covers": [[1, 0]]},
+     "document field 'elements' has '(2,2)' at index 0, where T_2 has '(1,2)'"),
+    ({**_T2, "elements": ["(1, 2)", "(2,2)"], "covers": [[0, 1]]},
+     "document field 'elements' has '(1, 2)' at index 0, where T_2 has '(1,2)'"),
+    (_t3b_doc(n=4), "document field 'elements' has 20 entries, but T_4^B has 70 elements"),
+    (_t3b_doc(kind="tamari_a"), "document field 'elements' has 20 entries, but T_3 has 5 elements"),
+    (_t3b_doc(covers=_t3b_covers_plus("(0,0,2)", "(0,1,0)")),
+     "document field 'covers' has (0,0,2) < (0,1,0), not a cover of T_3^B"),
+    (_t3b_doc(covers=_t3b_doc()["covers"][1:]),
+     "document field 'covers' misses the cover (0,0,0) < (0,0,1) of T_3^B"),
+])
+def test_tamari_document_must_be_its_family(doc, message):
+    with pytest.raises(ValueError) as err:
+        document_to_poset(doc)
+    assert type(err.value) is ValueError
+    assert str(err.value) == message
+
+
+def test_tamari_document_needs_n():
+    doc = {**_T2, "covers": [[0, 1]]}
+    del doc["n"]
+    with pytest.raises(ValueError) as err:
+        document_to_poset(doc)
+    assert str(err.value) == "document field 'n' is missing; kind 'tamari_a' needs it"
+
+
+def test_tamari_document_names_its_family_without_an_explicit_n():
+    for kind in "ab":
+        p = tamari_poset(kind, 4)
+        doc = poset_document(p, kind=f"tamari_{kind}")
+        assert doc["n"] == 4
+        assert document_to_poset(json.loads(json.dumps(doc))).covers == p.covers
+
+
+def test_tamari_document_cover_list_may_repeat_implied_pairs():
+    doc = _t3b_doc(covers=_t3b_covers_plus("(0,0,0)", "(inf,inf,inf)"))
+    assert document_to_poset(doc).covers == tamari_poset("b", 3).covers

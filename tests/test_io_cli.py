@@ -9,6 +9,7 @@ from tamari.io import (
     document_to_poset,
     dumps_document,
     dumps_report,
+    elements_document,
     poset_document,
     poset_to_dot,
 )
@@ -47,7 +48,7 @@ def test_document_round_trip():
 
 def test_document_without_covers_cannot_rebuild():
     p = tamari_poset("b", 2)
-    doc = poset_document(p, kind="tamari_b", n=2, include_covers=False)
+    doc = elements_document(p.labels, kind="tamari_b", n=2)
     assert "covers" not in doc
     with pytest.raises(ValueError):
         document_to_poset(doc)

@@ -1,8 +1,15 @@
-"""Where the order's storage format is known: only ``poset.py``.
+"""Each store's format is known in one module only.
 
-numpy is the format's packing tool, so only ``poset.py`` may import it, and
-no other module may import a private name (``_bit_rows``, ``_bool_rows``
-...) from it.
+- The order's bitset up-set and down-set rows, their componentwise build
+  (``Poset.from_vectors``), the lattice test on them and the level views
+  (lowest, highest, shifted, the leveled subposet): ``poset.py``.
+- The flow network's paired forward and residual arcs (``adj``, ``to``,
+  ``cap``): ``flow.py``; ``gk.py`` asks it for paths and potentials.
+
+numpy is the order format's packing tool, so only ``poset.py`` may import
+it.  No module imports a private name (``_bit_rows``, ``_bool_rows`` ...)
+from ``poset.py``, or reads a ``_``-prefixed attribute of anything but
+``self`` or ``cls`` that its own source does not define.
 """
 
 import ast
@@ -45,3 +52,44 @@ def test_no_module_imports_private_poset_names():
         if module in (".poset", "tamari.poset") and name is not None and name.startswith("_")
     ]
     assert bad == []
+
+
+def _defined_names(tree: ast.AST) -> set[str]:
+    """Names a module defines: functions, classes, methods and attributes
+    it assigns (``x._name = ...`` included)."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+            names.add(node.attr)
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            names.add(node.id)
+    return names
+
+
+def test_private_attributes_are_read_only_where_defined():
+    bad = []
+    for path in SRC.glob("*.py"):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        own = _defined_names(tree)
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Attribute) or not node.attr.startswith("_"):
+                continue
+            if node.attr.startswith("__") and node.attr.endswith("__"):
+                continue
+            if isinstance(node.value, ast.Name) and node.value.id in ("self", "cls"):
+                continue
+            if node.attr not in own:
+                bad.append((path.name, node.lineno, node.attr))
+    assert bad == []
+
+
+def test_gk_leaves_the_arc_store_to_flow():
+    tree = ast.parse((SRC / "gk.py").read_text())
+    reads = [
+        (node.lineno, node.attr)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr in ("adj", "to", "cap")
+    ]
+    assert reads == []

@@ -19,10 +19,13 @@ from networkx.algorithms.isomorphism import DiGraphMatcher
 import tamari.poset
 from conftest import random_poset
 from tamari import (
+    INF,
     Poset,
+    PosetError,
     find_isomorphism,
     gk_partition,
     is_lattice,
+    leq_componentwise,
     max_antichain_union,
     max_chain_union,
     tamari_poset,
@@ -139,7 +142,49 @@ def test_level_fibers_are_antichains_by_both_checks():
                 assert dense_first_comparable_pair(p, members) is None
 
 
+def reference_shifted_levels(p: Poset) -> tuple[int, ...]:
+    """The shifted map as it was built outside the store: lowest levels,
+    every element off the leveled subposet raised by one."""
+    low = p.level_map("lowest").levels
+    members = set(p.leveled_subposet().members)
+    return tuple(lv if i in members else lv + 1 for i, lv in enumerate(low))
+
+
+def test_shifted_level_map_matches_the_leveled_construction():
+    for p in SAMPLES:
+        shifted = p.level_map("shifted")
+        assert shifted.mode == "shifted"
+        assert shifted.levels == reference_shifted_levels(p)
+
+
 # -- one store -------------------------------------------------------------------------
+
+
+def test_from_vectors_matches_the_componentwise_predicate():
+    rng = random.Random(77)
+    symbols = (0, 1, 2, 3, INF)
+    for _ in range(60):
+        width = rng.randint(1, 4)
+        draws = [tuple(rng.choice(symbols) for _ in range(width)) for _ in range(rng.randint(1, 40))]
+        vectors = list(dict.fromkeys(draws))
+        p = Poset.from_vectors(vectors)
+        q = Poset.from_predicate(vectors, leq_componentwise)
+        assert p.labels == q.labels == vectors
+        assert p.covers == q.covers
+        assert (p.leq_matrix == q.leq_matrix).all()
+
+
+def test_from_vectors_rejects_a_repeated_vector():
+    with pytest.raises(PosetError) as err:
+        Poset.from_vectors([(0, 1), (1, INF), (0, 1)])
+    assert err.value.kind == "antisymmetry"
+    assert err.value.witness == ((0, 1), (0, 1))
+
+
+def test_from_vectors_rejects_mixed_lengths():
+    with pytest.raises(PosetError, match="different lengths"):
+        Poset.from_vectors([(0, 1), (0, 1, 2)])
+
 
 
 def _arrays(p: Poset) -> list[str]:

@@ -313,3 +313,22 @@ def test_is_lattice_agrees_with_pairwise_reference():
 @pytest.mark.parametrize("kind,n", [("b", 6), ("a", 7)])
 def test_larger_tamari_posets_are_lattices(kind, n):
     assert is_lattice(tamari_poset(kind, n))
+
+
+def test_verify_claims_induces_the_leveled_subposet_once(monkeypatch):
+    calls = []
+    induced = Poset.induced
+
+    def counting(self, indices):
+        calls.append(self.n)
+        return induced(self, indices)
+
+    monkeypatch.setattr(Poset, "induced", counting)
+    tamari_poset.cache_clear()
+    try:
+        for n in (4, 5):
+            calls.clear()
+            verify_claims("all", [n])
+            assert len(calls) == 1
+    finally:
+        tamari_poset.cache_clear()
