@@ -1,4 +1,4 @@
-"""Minimum-cost flow by primal-dual phases with potentials.
+"""Minimum-cost flow by primal-dual phases with integer potentials.
 
 Arcs are stored in pairs: arc ``2k`` is the forward arc, arc ``2k+1`` its
 zero-capacity residual reverse.  The solver assumes an acyclic network whose
@@ -10,17 +10,18 @@ Each phase then runs one Dijkstra on reduced costs (nonnegative by the usual
 invariant), which advances the potentials so that every cheapest s->t path
 uses only arcs of zero reduced cost, followed by a maximum flow on that
 zero-reduced-cost residual subgraph (Ahuja, Magnanti & Orlin, *Network
-Flows*, 1993, ch. 9).  Every unit sent in one phase has the same cost, and
-after the phase the cheapest s->t cost has strictly risen.  All costs and
-capacities are integers, so the computed flows are exactly integral.
+Flows*, 1993, ch. 9).  Reduced distances are small nonnegative integers, so
+the Dijkstra pops nodes from Dial's bucket queue (*CACM* 12, 1969), one list
+per distance; the maximum flow is found by repeated augmenting-path searches
+over the arcs whose reduced cost is zero, tested as they are scanned.  Every
+unit sent in one phase has the same cost, and after the phase the cheapest
+s->t cost has strictly risen.  All costs and capacities are integers, so the
+computed flows are exactly integral.
 """
 
 from __future__ import annotations
 
-import heapq
-from collections import deque
-
-_UNREACHED = float("inf")
+_UNREACHED = 1 << 62  # above every distance; ints keep bucket indices exact
 
 
 class MinCostFlow:
@@ -30,7 +31,7 @@ class MinCostFlow:
         self.to: list[int] = []
         self.cap: list[int] = []
         self.cost: list[int] = []
-        self.potential: list[float] | None = None
+        self.potential: list[int] | None = None
 
     def add_arc(self, u: int, v: int, cap: int, cost: int) -> int:
         a = len(self.to)
@@ -71,12 +72,16 @@ class MinCostFlow:
         return path
 
     def init_potentials(self, topo_nodes: list[int], source: int) -> None:
-        """Exact shortest-path distances on the initial DAG, one pass."""
+        """Exact shortest-path distances on the initial DAG, one pass.
+
+        Every node must be reachable from ``source``: a bucket queue indexes
+        by reduced distance, which needs a finite potential everywhere.
+        """
         dist = [_UNREACHED] * self.n
-        dist[source] = 0.0
+        dist[source] = 0
         for u in topo_nodes:
             du = dist[u]
-            if du is _UNREACHED:
+            if du == _UNREACHED:
                 continue
             for a in self.adj[u]:
                 if self.cap[a] <= 0:
@@ -85,117 +90,92 @@ class MinCostFlow:
                 nd = du + self.cost[a]
                 if nd < dist[v]:
                     dist[v] = nd
+        if _UNREACHED in dist:
+            raise RuntimeError(f"node {dist.index(_UNREACHED)} is unreachable from the source")
         self.potential = dist
 
     def cheapest_path(self, s: int, t: int) -> int | None:
         """Dijkstra on reduced costs; returns the cheapest s->t cost, or None.
 
-        The potentials are advanced by the computed distances (capped at the
-        distance of ``t``), which keeps every reduced cost nonnegative and
-        makes every cheapest s->t path consist of zero-reduced-cost arcs,
-        ready for :meth:`push_phase`.
+        Nodes wait in one bucket per reduced distance and are settled bucket
+        by bucket, stopping at the bucket that holds ``t``.  The potentials
+        are advanced by the computed distances (capped at the distance of
+        ``t``), which keeps every reduced cost nonnegative and makes every
+        cheapest s->t path consist of zero-reduced-cost arcs, ready for
+        :meth:`push_phase`.
         """
         pi = self.potential
         if pi is None:
             raise RuntimeError("init_potentials must run before augmenting")
         adj, to, cap, cost = self.adj, self.to, self.cap, self.cost
         dist = [_UNREACHED] * self.n
-        dist[s] = 0.0
-        heap: list[tuple[float, int]] = [(0.0, s)]
-        while heap:
-            d, u = heapq.heappop(heap)
-            if u == t:
-                break  # every node still queued would be capped at d anyway
-            if d > dist[u]:
-                continue
-            base = d + pi[u]
-            for a in adj[u]:
-                if cap[a] <= 0:
-                    continue
-                v = to[a]
-                nd = base + cost[a] - pi[v]
-                if nd < dist[v]:
-                    dist[v] = nd
-                    heapq.heappush(heap, (nd, v))
+        dist[s] = 0
+        buckets: list[list[int]] = [[s]]
+        for d, bucket in enumerate(buckets):  # both lists grow while scanned
+            if dist[t] <= d:
+                break  # every node still queued would be capped at dist[t] anyway
+            for u in bucket:
+                if dist[u] != d:
+                    continue  # queued again at a smaller distance, already settled
+                base = d + pi[u]
+                for a in adj[u]:
+                    if cap[a] > 0:
+                        v = to[a]
+                        nd = base + cost[a] - pi[v]
+                        if nd < dist[v]:
+                            dist[v] = nd
+                            if nd >= len(buckets):
+                                buckets.extend([] for _ in range(nd + 1 - len(buckets)))
+                            buckets[nd].append(v)
         dt = dist[t]
         if dt == _UNREACHED:
             return None
-        for v in range(self.n):
-            pi[v] += dist[v] if dist[v] < dt else dt
-        return int(pi[t] - pi[s])
+        self.potential = pi = [p + (x if x < dt else dt) for p, x in zip(pi, dist)]
+        return pi[t] - pi[s]
 
     def push_phase(self, s: int, t: int, limit: int) -> int:
         """Send at most ``limit`` units over zero-reduced-cost residual arcs.
 
-        Repeats a level-graph BFS and a blocking-flow DFS until ``t`` is
-        unreachable or ``limit`` units are sent, so short of the limit the
-        result is a maximum flow on the zero-reduced-cost subgraph.  Reverse
-        arcs created by the pushes also have zero reduced cost, so they take
-        part in later rounds.  Returns the number of units sent.
+        Repeats a depth-first search from ``s`` for a path of residual arcs
+        with zero reduced cost and augments along it, until ``limit`` units
+        are sent or a search fails.  A search finds a path whenever one
+        exists, so short of the limit the result is a maximum flow on the
+        zero-reduced-cost subgraph.  Reverse arcs created by the pushes also
+        have zero reduced cost, so later searches may use them.  Returns the
+        number of units sent.
         """
         pi = self.potential
         if pi is None:
             raise RuntimeError("init_potentials must run before augmenting")
-        to, cap, cost = self.to, self.cap, self.cost
-        zero = [[a for a in arcs if cost[a] + pi[u] == pi[to[a]]]
-                for u, arcs in enumerate(self.adj)]
+        adj, to, cap, cost = self.adj, self.to, self.cap, self.cost
+        seen = [0] * self.n  # stamp of the last search that entered each node
         sent = 0
+        stamp = 0
         while sent < limit:
-            level = self._levels(zero, s, t)
-            if level[t] < 0:
-                break
-            sent += self._blocking_flow(zero, level, s, t, limit - sent)
-        return sent
-
-    def _levels(self, zero: list[list[int]], s: int, t: int) -> list[int]:
-        """BFS distances (in arcs) from s over residual arcs in ``zero``, up to t's."""
-        to, cap = self.to, self.cap
-        level = [-1] * self.n
-        level[s] = 0
-        queue = deque([s])
-        while queue:
-            u = queue.popleft()
-            if level[t] >= 0 and level[u] >= level[t]:
-                break
-            nxt = level[u] + 1
-            for a in zero[u]:
-                v = to[a]
-                if level[v] < 0 and cap[a] > 0:
-                    level[v] = nxt
-                    queue.append(v)
-        return level
-
-    def _blocking_flow(self, zero: list[list[int]], level: list[int], s: int, t: int,
-                       limit: int) -> int:
-        """Iterative DFS with current-arc pointers along level-increasing arcs."""
-        to, cap = self.to, self.cap
-        pointer = [0] * self.n
-        path: list[int] = []
-        sent = 0
-        u = s
-        while sent < limit:
-            if u == t:
-                push = min(limit - sent, min(cap[a] for a in path))
-                for a in path:
-                    cap[a] -= push
-                    cap[a ^ 1] += push
-                sent += push
-                path.clear()
-                u = s
-                continue
-            arcs = zero[u]
-            nxt = level[u] + 1
-            for i in range(pointer[u], len(arcs)):
-                a = arcs[i]
-                if cap[a] > 0 and level[to[a]] == nxt:
-                    pointer[u] = i
-                    path.append(a)
-                    u = to[a]
-                    break
-            else:
-                if u == s:
-                    break
-                level[u] = -1  # dead end for the rest of this round
-                u = to[path.pop() ^ 1]
-                pointer[u] += 1
+            stamp += 1
+            seen[s] = stamp
+            path: list[int] = []
+            scans = [iter(adj[s])]  # each node's arcs resume where they stopped
+            u, pu = s, pi[s]
+            while u != t:
+                for a in scans[-1]:
+                    if cap[a] > 0:
+                        v = to[a]
+                        if seen[v] != stamp and cost[a] + pu == pi[v]:
+                            seen[v] = stamp
+                            path.append(a)
+                            scans.append(iter(adj[v]))
+                            u, pu = v, pi[v]
+                            break
+                else:
+                    if not path:
+                        return sent  # t is unreachable: the flow is maximum
+                    scans.pop()
+                    u = to[path.pop() ^ 1]
+                    pu = pi[u]
+            push = min(limit - sent, min(cap[a] for a in path))
+            for a in path:
+                cap[a] -= push
+                cap[a ^ 1] += push
+            sent += push
         return sent

@@ -231,7 +231,7 @@ def max_antichain_union(p: Poset, k: int) -> AntichainFamily:
     before = network.start_potential
     cap = max(0, before[network.S] - before[network.T] - k)
     pi_k = [b + min(x - b, cap) for b, x in zip(before, network.net.potential)]
-    groups: dict[float, list[int]] = {}
+    groups: dict[int, list[int]] = {}
     for r, v in enumerate(network.order):
         if pi_k[2 + 2 * r] - pi_k[3 + 2 * r] >= 1:
             groups.setdefault(pi_k[2 + 2 * r], []).append(v)

@@ -226,6 +226,24 @@ def _validate_order(labels: list, up: list[int]) -> list[tuple[int, int]]:
     )
 
 
+def _componentwise_rows(vectors: list) -> list[int]:
+    """Up-set rows of the componentwise order on equal-length vectors."""
+    width = len(vectors[0]) if vectors else 0
+    if any(len(v) != width for v in vectors):
+        raise PosetError("vectors of different lengths are not ordered componentwise")
+    up = [(1 << len(vectors)) - 1] * len(vectors)
+    for c in range(width):
+        holding: dict = {}
+        for i, v in enumerate(vectors):
+            holding[v[c]] = holding.get(v[c], 0) | 1 << i
+        at_least = 0
+        for value in sorted(holding, reverse=True):
+            at_least |= holding[value]
+            holding[value] = at_least
+        up = [row & holding[v[c]] for row, v in zip(up, vectors)]
+    return up
+
+
 @dataclass(frozen=True)
 class LevelAssignment:
     """A map element index -> level whose fibers partition into antichains.
@@ -307,20 +325,7 @@ class Poset:
         sets, one per coordinate.
         """
         vectors = list(vectors)
-        width = len(vectors[0]) if vectors else 0
-        if any(len(v) != width for v in vectors):
-            raise PosetError("vectors of different lengths are not ordered componentwise")
-        up = [(1 << len(vectors)) - 1] * len(vectors)
-        for c in range(width):
-            holding: dict = {}
-            for i, v in enumerate(vectors):
-                holding[v[c]] = holding.get(v[c], 0) | 1 << i
-            at_least = 0
-            for value in sorted(holding, reverse=True):
-                at_least |= holding[value]
-                holding[value] = at_least
-            up = [row & holding[v[c]] for row, v in zip(up, vectors)]
-        return cls._from_rows(vectors, up)
+        return cls._from_rows(vectors, _componentwise_rows(vectors))
 
     @classmethod
     def from_covers(cls, labels: Sequence, covers: Iterable[tuple[int, int]]) -> "Poset":
@@ -373,6 +378,12 @@ class Poset:
 
     def leq(self, i: int, j: int) -> bool:
         return bool(self._up[i] >> j & 1)
+
+    def is_componentwise(self, vectors: Sequence[Sequence]) -> bool:
+        """Whether i <= j exactly when ``vectors[i]`` is at most ``vectors[j]``
+        in every coordinate; compares up-set rows, validating nothing again."""
+        vectors = list(vectors)
+        return len(vectors) == self.n and _componentwise_rows(vectors) == self._up
 
     @cached_property
     def leq_matrix(self) -> np.ndarray:

@@ -179,6 +179,7 @@ DETERMINISM_COMMANDS = [
     ("enumerate", "--type", "a", "--n", "3", "--format", "count"),
     ("lambda", "--type", "b", "--n", "3"),
     ("lambda", "--type", "b", "--n", "4", "--k", "2"),
+    ("lambda", "--type", "b", "--n", "6", "--k", "2"),
     ("verify", "--claim", "all", "--n", "4"),
     ("verify", "--claim", "thm1", "--n", "3..5"),
     ("export", "--type", "b", "--n", "3", "--format", "dot", "--layout", "shifted"),

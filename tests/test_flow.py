@@ -44,10 +44,34 @@ RECORDED = {
 }
 
 
+# T_8^B (12,870 elements), recorded from the level-graph engine through
+# Poset.from_vectors(enumerate_type_b(8)) and reproduced by the augmenting-path
+# one; tamari_poset stops at n = 7 and the flow takes tens of seconds, so only
+# the record's shape is tested here.
+T8B_RECORDED = [
+    (65, 1), (60, 1), (57, 1), (55, 1), (54, 1), (52, 1), (51, 1), (50, 1), (49, 3), (48, 1),
+    (47, 1), (46, 4), (45, 1), (44, 3), (43, 2), (42, 3), (41, 4), (40, 2), (39, 4), (38, 5),
+    (37, 4), (36, 5), (35, 5), (34, 4), (33, 14), (32, 5), (31, 8), (30, 9), (29, 5), (28, 9),
+    (27, 10), (26, 8), (25, 15), (24, 12), (23, 19), (22, 10), (21, 30), (20, 9), (19, 27),
+    (18, 14), (17, 16), (16, 27), (15, 30), (14, 23), (13, 37), (12, 36), (11, 39), (10, 57),
+    (9, 36), (8, 53), (7, 44), (6, 57), (5, 40), (4, 69), (3, 38), (2, 36), (1, 24),
+]
+
+
 @pytest.mark.parametrize("kind,n", sorted(RECORDED))
 def test_partition_matches_record(kind, n):
     parts = gk_partition(tamari_poset(kind, n)).parts
     assert parts == _expand(RECORDED[kind, n])
+
+
+def test_t8b_record_has_the_theorem_shape():
+    parts = _expand(T8B_RECORDED)
+    n = 8
+    assert sum(parts) == 12870  # C(16, 8) elements
+    assert parts[0] == n * n + 1 and parts[1] == n * n - 4
+    assert all(a >= b for a, b in zip(parts, parts[1:]))
+    assert len(set(parts)) == len(T8B_RECORDED) == 57
+    assert len(parts) == 925
 
 
 def test_one_dijkstra_per_distinct_part(monkeypatch):
@@ -62,6 +86,36 @@ def test_one_dijkstra_per_distinct_part(monkeypatch):
     monkeypatch.setattr(MinCostFlow, "cheapest_path", counted)
     parts = gk_partition(tamari_poset("b", 5)).parts
     assert len(passes) == len(set(parts)) == 16
+    for kind, n, distinct in (("b", 6, 28), ("a", 7, 17)):
+        passes.clear()
+        parts = gk_partition(tamari_poset(kind, n)).parts
+        assert len(passes) == len(set(parts)) == distinct
+    rng = random.Random(1111)
+    for _ in range(120):
+        p = random_poset(rng, rng.randint(5, 60), rng.choice([0.05, 0.1, 0.2, 0.35]))
+        passes.clear()
+        parts = gk_partition(p).parts
+        assert len(passes) == len(set(parts))
+
+
+def test_phase_reroutes_through_a_reverse_arc():
+    """The first search takes s-a-b-t; the second unit can then only run
+    s-b, back over the reverse of a->b, then a-t."""
+    s, a, b, t = range(4)
+    net = MinCostFlow(4)
+    arcs = [net.add_arc(u, v, 1, 0) for u, v in ((s, a), (s, b), (a, b), (a, t), (b, t))]
+    net.init_potentials([s, a, b, t], s)
+    assert net.cheapest_path(s, t) == 0
+    assert net.push_phase(s, t, 5) == 2
+    assert [net.flow_on(x) for x in arcs] == [1, 1, 0, 1, 1]
+    assert net.push_phase(s, t, 5) == 0
+
+
+def test_init_potentials_rejects_an_unreachable_node():
+    net = MinCostFlow(3)
+    net.add_arc(0, 1, 1, 0)
+    with pytest.raises(RuntimeError, match="node 2 is unreachable"):
+        net.init_potentials([0, 1, 2], 0)
 
 
 def test_limit_cuts_phases_mid_run():

@@ -186,6 +186,22 @@ def test_from_vectors_rejects_mixed_lengths():
         Poset.from_vectors([(0, 1), (0, 1, 2)])
 
 
+def test_is_componentwise_compares_rows_with_the_vectors():
+    rng = random.Random(78)
+    symbols = (0, 1, 2, INF)
+    for _ in range(40):
+        width = rng.randint(1, 3)
+        draws = [tuple(rng.choice(symbols) for _ in range(width)) for _ in range(rng.randint(1, 30))]
+        vectors = list(dict.fromkeys(draws))
+        p = Poset.from_predicate(vectors, leq_componentwise)
+        assert p.is_componentwise(vectors)
+        assert not p.is_componentwise(vectors[:-1])
+        for u, v in p.covers[:3]:  # a strict pair swapped no longer holds
+            swapped = list(vectors)
+            swapped[u], swapped[v] = swapped[v], swapped[u]
+            assert not p.is_componentwise(swapped)
+
+
 
 def _arrays(p: Poset) -> list[str]:
     return [k for k, v in vars(p).items() if isinstance(v, np.ndarray)]
