@@ -1,8 +1,10 @@
 """Command line interface: enumerate, lambda, verify, export.
 
-Every command writes deterministic bytes for a given command line.  The
-default size cap is n <= 7; ``--force`` lifts it (with a warning on stderr)
-up to the library's own enumeration limit.
+Every command writes deterministic bytes for a given command line, and
+checks all of its arguments before it does any work.  ``lambda``, ``verify``
+and ``export`` build the poset and stop at its cap, n <= 7.  ``enumerate``
+has a default cap of n <= 7, which ``--force`` lifts (with a warning on
+stderr) up to the library's own enumeration limit.
 """
 
 from __future__ import annotations
@@ -31,8 +33,6 @@ def _add_common(sub: argparse.ArgumentParser, with_type: bool = True) -> None:
         sub.add_argument("--type", choices=("a", "b"), required=True,
                          help="which Tamari family")
     sub.add_argument("--n", required=True, help="tuple length n (or N..M for verify)")
-    sub.add_argument("--force", action="store_true",
-                     help=f"allow n beyond the default cap of {DEFAULT_CAP}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -42,11 +42,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     subs = parser.add_subparsers(dest="command", required=True)
 
-    p_enum = subs.add_parser("enumerate", help="list, count or export the elements")
+    p_enum = subs.add_parser(
+        "enumerate",
+        help="list or count the elements, or write them as a JSON document without covers",
+    )
     _add_common(p_enum)
     p_enum.add_argument("--format", choices=("list", "json", "count"), default="list")
-    p_enum.add_argument("--hasse", action="store_true",
-                        help="include cover edges in JSON output")
+    p_enum.add_argument("--force", action="store_true",
+                        help=f"allow n beyond the default cap of {DEFAULT_CAP}, up to {MAX_N}")
 
     p_lambda = subs.add_parser("lambda", help="chain-partition parts and chain unions")
     _add_common(p_lambda)
@@ -67,8 +70,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _parse_n(parser: argparse.ArgumentParser, text: str, force: bool,
-             allow_range: bool = False, needs_poset: bool = False) -> list[int]:
+def _parse_n(parser: argparse.ArgumentParser, text: str, allow_range: bool = False,
+             least: int = 1, cap: int = POSET_MAX_N) -> list[int]:
+    """The values of ``--n``, each checked to lie in ``least..cap``.
+
+    The cap defaults to the poset cap, since lambda, verify and export all
+    build the poset; enumerate passes the library's enumeration limit.
+    """
     try:
         if allow_range and ".." in text:
             lo_s, hi_s = text.split("..", 1)
@@ -81,32 +89,20 @@ def _parse_n(parser: argparse.ArgumentParser, text: str, force: bool,
     except ValueError:
         parser.error(f"bad n value {text!r}")
     for n in ns:
-        if n < 1:
-            parser.error("n must be at least 1")
-        if needs_poset and n > POSET_MAX_N:
-            parser.error(
-                f"n={n} exceeds the poset cap {POSET_MAX_N}; this command "
-                "builds the poset and --force does not lift that cap"
-            )
-        if n > MAX_N:
-            parser.error(f"n={n} exceeds the hard cap {MAX_N}")
-        if n > DEFAULT_CAP:
-            if not force:
-                parser.error(
-                    f"n={n} exceeds the default cap {DEFAULT_CAP}; pass --force to override"
-                )
-            print(
-                f"warning: n={n} exceeds the default cap {DEFAULT_CAP}; "
-                "expect large output",
-                file=sys.stderr,
-            )
+        if n < least:
+            parser.error(f"n must be at least {least}")
+        if n > cap:
+            parser.error(f"n={n} exceeds the {'poset' if cap == POSET_MAX_N else 'hard'} cap {cap}")
     return ns
 
 
 def _cmd_enumerate(args, parser) -> int:
-    if args.hasse and args.format != "json":
-        parser.error("--hasse needs --format json")
-    (n,) = _parse_n(parser, args.n, args.force, needs_poset=args.hasse)
+    (n,) = _parse_n(parser, args.n, cap=MAX_N)
+    if n > DEFAULT_CAP:
+        if not args.force:
+            parser.error(f"n={n} exceeds the default cap {DEFAULT_CAP}; pass --force to override")
+        print(f"warning: n={n} exceeds the default cap {DEFAULT_CAP}; expect large output",
+              file=sys.stderr)
     elements = enumerate_type_b(n) if args.type == "b" else enumerate_type_a(n)
     if args.format == "count":
         print(len(elements))
@@ -114,23 +110,19 @@ def _cmd_enumerate(args, parser) -> int:
     if args.format == "list":
         sys.stdout.write("".join([format_vector(v) + "\n" for v in elements]))
         return 0
-    kind = f"tamari_{args.type}"
-    if args.hasse:
-        doc = poset_document(tamari_poset(args.type, n), kind=kind, n=n)
-    else:
-        doc = elements_document(elements, kind=kind, n=n)
+    doc = elements_document(elements, kind=f"tamari_{args.type}", n=n)
     sys.stdout.write(dumps_document(doc))
     return 0
 
 
 def _cmd_lambda(args, parser) -> int:
-    (n,) = _parse_n(parser, args.n, args.force, needs_poset=True)
+    (n,) = _parse_n(parser, args.n)
+    if args.k is not None and args.k < 1:
+        parser.error("--k must be at least 1")
     p = tamari_poset(args.type, n)
     if args.k is None:
         print(json.dumps(list(gk_partition(p).parts)))
         return 0
-    if args.k < 1:
-        parser.error("--k must be at least 1")
     family = max_chain_union(p, args.k)
     print(family.total)
     for i, chain in enumerate(family.chains, start=1):
@@ -140,18 +132,15 @@ def _cmd_lambda(args, parser) -> int:
 
 
 def _cmd_verify(args, parser) -> int:
-    ns = _parse_n(parser, args.n, args.force, allow_range=True, needs_poset=True)
-    try:
-        reports = verify_claims(args.claim, ns)
-    except ValueError as exc:  # claims need n >= 2
-        parser.error(str(exc))
+    # every claim needs n >= 2
+    reports = verify_claims(args.claim, _parse_n(parser, args.n, allow_range=True, least=2))
     for report in reports:
         sys.stdout.write(dumps_report(report))
     return 1 if any(r.status == REFUTED for r in reports) else 0
 
 
 def _cmd_export(args, parser) -> int:
-    (n,) = _parse_n(parser, args.n, args.force, needs_poset=True)
+    (n,) = _parse_n(parser, args.n)
     p = tamari_poset(args.type, n)
     levels = None
     if args.layout == "lowest":

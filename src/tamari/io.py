@@ -109,12 +109,12 @@ def document_to_poset(doc: Mapping) -> Poset:
         if not isinstance(levels, Mapping):
             raise ValueError("document field 'levels' is not an object")
         fibers: dict[int, list[int]] = {}
+        # a key is the exact text poset_document writes, so no two keys
+        # ("1", "01", " 1", "+1") can name one element
+        index = {str(i): i for i in range(len(labels))}
         for key, lv in levels.items():
-            try:
-                i = int(key)
-            except ValueError:
-                i = -1  # not an integer: rejected below like an index out of range
-            if not 0 <= i < len(labels):
+            i = index.get(key)
+            if i is None:
                 raise ValueError(f"level key {key!r} is not an element index 0..{len(labels) - 1}")
             if not isinstance(lv, int) or isinstance(lv, bool):
                 raise ValueError(f"level {lv!r} of key {key!r} is not an integer")

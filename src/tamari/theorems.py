@@ -16,7 +16,7 @@ carries a witness and a verification carries its certificate data.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .elements import (
     INF,
@@ -63,6 +63,33 @@ def _bumped(v: Vector, pos: int, n: int) -> Vector | None:
     return v[:pos] + (bumped,) + v[pos + 1 :]
 
 
+def _walk(start: Vector, end: Vector, positions: Sequence[int],
+          allowed: Callable[[Vector], bool]) -> list[Vector]:
+    """The greedy chain from ``start`` up to ``end``.
+
+    Each step increments the first position, in ``positions`` order, whose
+    increment is ``allowed``.  A step raises the entry sum by exactly one, so
+    a walk that reaches ``end`` has entry_sum(end) - entry_sum(start) + 1
+    elements, and a walk that grows longer has passed ``end``.
+    """
+    n = len(start)
+    length = entry_sum(end) - entry_sum(start) + 1
+    cur = start
+    out = [cur]
+    while cur != end:
+        if len(out) == length:
+            raise RuntimeError(f"chain from {format_vector(start)} passed {format_vector(end)}")
+        for pos in positions:
+            cand = _bumped(cur, pos, n)
+            if cand is not None and allowed(cand):
+                cur = cand
+                out.append(cur)
+                break
+        else:
+            raise RuntimeError(f"no incrementable position at {format_vector(cur)}")
+    return out
+
+
 def first_chain(n: int) -> list[Vector]:
     """The maximum chain from (0,...,0) to (inf,...,inf), n^2 + 1 elements.
 
@@ -71,21 +98,7 @@ def first_chain(n: int) -> list[Vector]:
     """
     if n < 2:
         raise ValueError("first_chain needs n >= 2")
-    cur: Vector = (0,) * n
-    top: Vector = (INF,) * n
-    out = [cur]
-    while cur != top:
-        for pos in reversed(range(n)):
-            cand = _bumped(cur, pos, n)
-            if cand is not None and is_type_b(cand):
-                cur = cand
-                out.append(cur)
-                break
-        else:
-            raise RuntimeError(f"no incrementable position at {format_vector(cur)}")
-    if len(out) != n * n + 1:
-        raise RuntimeError(f"first chain has {len(out)} elements, expected {n * n + 1}")
-    return out
+    return _walk((0,) * n, (INF,) * n, range(n - 1, -1, -1), is_type_b)
 
 
 def second_chain(n: int, with_prefix: bool = False) -> list[Vector]:
@@ -101,23 +114,9 @@ def second_chain(n: int, with_prefix: bool = False) -> list[Vector]:
     """
     if n < 4:
         raise ValueError("second_chain needs n >= 4")
-    leveled = _leveled_labels(n)
-    cur: Vector = (0,) * (n - 2) + (1, 2)
+    start: Vector = (0,) * (n - 2) + (1, 2)
     end: Vector = (n - 2, n - 1) + (INF,) * (n - 2)
-    out = [cur]
-    while cur != end:
-        for pos in range(n):
-            cand = _bumped(cur, pos, n)
-            if cand is not None and cand in leveled and is_type_b(cand):
-                cur = cand
-                out.append(cur)
-                break
-        else:
-            raise RuntimeError(f"no incrementable position at {format_vector(cur)}")
-        if len(out) > n * n:
-            raise RuntimeError("second chain overran its endpoint")
-    if len(out) != n * n - 5:
-        raise RuntimeError(f"second chain has {len(out)} elements, expected {n * n - 5}")
+    out = _walk(start, end, range(n), _leveled_labels(n).__contains__)
     if with_prefix:
         out.insert(0, (0,) * (n - 2) + (1, 0))
     return out
@@ -236,10 +235,6 @@ def verify_lambda2(n: int) -> VerificationReport:
         problems.append(f"lambda_2 = {lam[1]}, expected {n * n - 4}")
     fc = first_chain(n)
     sc = second_chain(n, with_prefix=True)
-    if len(fc) != n * n + 1:
-        problems.append(f"first chain has {len(fc)} elements")
-    if len(sc) != n * n - 4:
-        problems.append(f"prefixed second chain has {len(sc)} elements")
     for name, chain in (("first", fc), ("second", sc)):
         if not all(is_type_b(v) for v in chain):
             problems.append(f"{name} chain contains an invalid element")

@@ -175,7 +175,7 @@ def test_criterion_09_oracle_equivalence():
 
 DETERMINISM_COMMANDS = [
     ("enumerate", "--type", "b", "--n", "2", "--format", "list"),
-    ("enumerate", "--type", "b", "--n", "4", "--format", "json", "--hasse"),
+    ("export", "--type", "b", "--n", "4", "--format", "json"),
     ("enumerate", "--type", "a", "--n", "3", "--format", "count"),
     ("lambda", "--type", "b", "--n", "3"),
     ("lambda", "--type", "b", "--n", "4", "--k", "2"),

@@ -226,10 +226,11 @@ def test_fiber_check_names_the_first_comparable_pair():
         assert str(err.value) == (
             f"level fiber is not an antichain: {expected[0]!r} <= {expected[1]!r}"
         )
-    # two keys naming one element compare it with itself, which is no violation
+    # a second key for one element is refused before any fiber is checked
     doc = json.loads(json.dumps(poset_document(p)))
     doc["levels"] = {"0": 0, "00": 0, "1": 1}
-    assert document_to_poset(doc).covers == p.covers
+    with pytest.raises(ValueError, match="level key '00'"):
+        document_to_poset(doc)
 
 
 # -- no dense matrix product on any valid input ----------------------------------

@@ -1,9 +1,12 @@
+import hashlib
 import json
+import re
 import subprocess
 import sys
 
 import pytest
 
+import tamari.cli
 from tamari import Poset, tamari_poset
 from tamari.io import (
     document_to_poset,
@@ -117,10 +120,8 @@ def test_cli_enumerate_list_n1():
     assert result.stdout == b"(0)\n(inf)\n"
 
 
-def test_cli_enumerate_json_hasse():
-    result = run_cli(
-        "enumerate", "--type", "b", "--n", "2", "--format", "json", "--hasse"
-    )
+def test_cli_export_json_covers():
+    result = run_cli("export", "--type", "b", "--n", "2", "--format", "json")
     doc = json.loads(result.stdout)
     assert doc["kind"] == "tamari_b"
     assert len(doc["elements"]) == 6
@@ -210,24 +211,60 @@ def test_cli_cap_and_force():
 
 
 def test_cli_poset_commands_stop_at_poset_cap():
-    # poset-backed commands build dense matrices; --force does not lift them
-    result = run_cli("lambda", "--type", "b", "--n", "8", "--force")
+    result = run_cli("lambda", "--type", "b", "--n", "8")
     assert result.returncode != 0
     assert b"poset cap" in result.stderr
-    result = run_cli(
-        "enumerate", "--type", "b", "--n", "8", "--format", "json", "--hasse", "--force"
-    )
+    result = run_cli("export", "--type", "b", "--n", "8", "--format", "json")
     assert result.returncode != 0
 
 
-@pytest.mark.parametrize("fmt", ["list", "count"])
-def test_cli_hasse_needs_json(fmt):
-    # count and list never build the poset, so the poset cap must not be what stops n = 8
-    result = run_cli("enumerate", "--type", "b", "--n", "8", "--force", "--hasse", "--format", fmt)
+@pytest.mark.parametrize("command", [
+    ("lambda", "--type", "b", "--n", "4"),
+    ("verify", "--claim", "thm1", "--n", "4"),
+    ("export", "--type", "b", "--n", "4", "--format", "json"),
+])
+def test_cli_force_is_an_enumerate_option_only(command):
+    # the poset commands stop at the poset cap, which is below the default cap
+    result = run_cli(*command, "--force")
     assert result.returncode == 2
-    assert b"--hasse needs --format json" in result.stderr
-    assert b"poset cap" not in result.stderr
     assert result.stdout == b""
+
+
+def test_cli_enumerate_has_no_hasse_option():
+    # export --format json writes the covers
+    result = run_cli("enumerate", "--type", "b", "--n", "4", "--format", "json", "--hasse")
+    assert result.returncode == 2
+    assert result.stdout == b""
+
+
+def test_cli_export_json_is_the_former_enumerate_hasse_document():
+    # sha256 of what `enumerate --type b --n 4 --format json --hasse` printed
+    result = run_cli("export", "--type", "b", "--n", "4", "--format", "json")
+    assert hashlib.sha256(result.stdout).hexdigest() == (
+        "be5d189b5f1ef3522b60b4ae263a66c03a6eecde9b57e51067fba6073a96acba"
+    )
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("work started before the arguments were checked")
+
+
+def test_cli_verify_checks_every_n_before_any_claim(monkeypatch, capsys):
+    monkeypatch.setattr(tamari.cli, "verify_claims", _refuse)
+    with pytest.raises(SystemExit) as exit_:
+        tamari.cli.main(["verify", "--claim", "all", "--n", "1..3"])
+    assert exit_.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "n must be at least 2" in captured.err
+
+
+def test_cli_lambda_checks_k_before_building_the_poset(monkeypatch, capsys):
+    monkeypatch.setattr(tamari.cli, "tamari_poset", _refuse)
+    with pytest.raises(SystemExit) as exit_:
+        tamari.cli.main(["lambda", "--type", "b", "--n", "7", "--k", "0"])
+    assert exit_.value.code == 2
+    assert capsys.readouterr().out == ""
 
 
 def test_tamari_poset_cap():
@@ -241,6 +278,10 @@ def test_tamari_poset_cap():
     ({"0": 0, "1": 1, "-3": 1}, "-3"),  # would wrap onto element 0
     ({"0": 0, "7": 1}, "7"),
     ({"-1": 0}, "-1"),  # a lone key is never compared with anything
+    # keys int() reads as an index but poset_document never writes
+    ({"0": 0, "1": 1, "01": 7}, "01"),
+    ({"0": 0, " 2": 2}, " 2"),
+    ({"+1": 1}, "+1"),
 ])
 def test_document_rejects_level_keys_outside_the_elements(levels, bad):
     doc = {
@@ -250,5 +291,5 @@ def test_document_rejects_level_keys_outside_the_elements(levels, bad):
         "covers": [[0, 1], [1, 2]],
         "levels": levels,
     }
-    with pytest.raises(ValueError, match=f"level key '{bad}'"):
+    with pytest.raises(ValueError, match=re.escape(f"level key '{bad}'")):
         document_to_poset(doc)
