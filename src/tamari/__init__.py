@@ -26,6 +26,7 @@ from .elements import (
     RuleViolation,
     brute_force_type_a,
     brute_force_type_b,
+    element_texts,
     entry_sum,
     enumerate_type_a,
     enumerate_type_b,
@@ -83,6 +84,7 @@ __all__ = [
     "RuleViolation",
     "brute_force_type_a",
     "brute_force_type_b",
+    "element_texts",
     "entry_sum",
     "enumerate_type_a",
     "enumerate_type_b",

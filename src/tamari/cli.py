@@ -4,16 +4,23 @@ Every command writes deterministic bytes for a given command line, and
 checks all of its arguments before it does any work.  ``lambda``, ``verify``
 and ``export`` build the poset and stop at its cap, n <= 7.  ``enumerate``
 has a default cap of n <= 7, which ``--force`` lifts (with a warning on
-stderr) up to the library's own enumeration limit.
+stderr) up to the library's own enumeration limit; it writes the element
+texts straight from the enumeration walk (``element_texts``) and never
+builds a vector.
+
+When the reader of stdout goes away (``tamari ... | head``), a command
+stops quietly with exit status 141 (128 + SIGPIPE, what a shell reports for
+a writer the signal ended).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
-from .elements import MAX_N, format_vector, enumerate_type_a, enumerate_type_b
+from .elements import MAX_N, element_texts, format_vector
 from .gk import gk_partition, max_chain_union
 from .io import (
     dumps_document,
@@ -26,6 +33,8 @@ from .lattices import POSET_MAX_N, tamari_poset
 from .theorems import CLAIMS, REFUTED, shifted_level_map, verify_claims
 
 DEFAULT_CAP = 7
+# exit status when stdout's reader has gone away
+EXIT_BROKEN_PIPE = 141
 
 
 def _add_common(sub: argparse.ArgumentParser, with_type: bool = True) -> None:
@@ -103,15 +112,14 @@ def _cmd_enumerate(args, parser) -> int:
             parser.error(f"n={n} exceeds the default cap {DEFAULT_CAP}; pass --force to override")
         print(f"warning: n={n} exceeds the default cap {DEFAULT_CAP}; expect large output",
               file=sys.stderr)
-    elements = enumerate_type_b(n) if args.type == "b" else enumerate_type_a(n)
+    texts = element_texts(args.type, n)
     if args.format == "count":
-        print(len(elements))
-        return 0
-    if args.format == "list":
-        sys.stdout.write("".join([format_vector(v) + "\n" for v in elements]))
-        return 0
-    doc = elements_document(elements, kind=f"tamari_{args.type}", n=n)
-    sys.stdout.write(dumps_document(doc))
+        print(len(texts))
+    elif args.format == "list":
+        sys.stdout.write("".join(texts))
+    else:
+        doc = elements_document([text[:-1] for text in texts], kind=f"tamari_{args.type}", n=n)
+        sys.stdout.write(dumps_document(doc))
     return 0
 
 
@@ -165,16 +173,32 @@ def _cmd_export(args, parser) -> int:
     return 0
 
 
+_COMMANDS = {
+    "enumerate": _cmd_enumerate,
+    "lambda": _cmd_lambda,
+    "verify": _cmd_verify,
+    "export": _cmd_export,
+}
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "enumerate":
-        return _cmd_enumerate(args, parser)
-    if args.command == "lambda":
-        return _cmd_lambda(args, parser)
-    if args.command == "verify":
-        return _cmd_verify(args, parser)
-    return _cmd_export(args, parser)
+    try:
+        status = _COMMANDS[args.command](args, parser)
+        sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
+    except BrokenPipeError:
+        # Point the stdout descriptor at devnull, so the interpreter's final
+        # flush of what is still buffered does not raise again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        try:
+            os.dup2(devnull, sys.stdout.fileno())
+        except (AttributeError, OSError):  # no descriptor behind stdout
+            pass
+        finally:
+            os.close(devnull)
+        return EXIT_BROKEN_PIPE
+    return status
 
 
 if __name__ == "__main__":

@@ -11,17 +11,17 @@ from __future__ import annotations
 import json
 from typing import Mapping
 
-from .elements import MAX_N, enumerate_type_a, enumerate_type_b, format_vector
+from .elements import MAX_N, element_texts, enumerate_type_a, enumerate_type_b, format_vector
 from .poset import LevelAssignment, Poset
 
 FORMAT_VERSION = 1
 
 _KINDS = ("tamari_a", "tamari_b", "generic")
 
-# kind -> (enumerator, name of T_n in messages) for the Tamari families
+# kind -> (type letter, enumerator, name of T_n in messages) for the Tamari families
 _FAMILIES = {
-    "tamari_a": (enumerate_type_a, "T_{}"),
-    "tamari_b": (enumerate_type_b, "T_{}^B"),
+    "tamari_a": ("a", enumerate_type_a, "T_{}"),
+    "tamari_b": ("b", enumerate_type_b, "T_{}^B"),
 }
 
 
@@ -133,25 +133,25 @@ def _family_vectors(kind: str, n: int | None, labels: list[str]) -> tuple[str, l
     that ``labels`` are exactly their texts; None for a generic document."""
     if kind not in _FAMILIES:
         return None
-    enumerate_family, name = _FAMILIES[kind]
+    letter, enumerate_family, name = _FAMILIES[kind]
     if n is None:
         raise ValueError(f"document field 'n' is missing; kind {kind!r} needs it")
     if n > MAX_N:
         raise ValueError(f"document field 'n' is {n}, beyond the enumeration cap {MAX_N}")
-    vectors = enumerate_family(n)
+    texts = [text[:-1] for text in element_texts(letter, n)]
     family = name.format(n)
-    if len(labels) != len(vectors):
+    if len(labels) != len(texts):
         raise ValueError(
             f"document field 'elements' has {len(labels)} entries, but {family} "
-            f"has {len(vectors)} elements"
+            f"has {len(texts)} elements"
         )
-    for i, (lab, v) in enumerate(zip(labels, vectors)):
-        if lab != format_vector(v):
-            raise ValueError(
-                f"document field 'elements' has {lab!r} at index {i}, where "
-                f"{family} has {format_vector(v)!r}"
-            )
-    return family, vectors
+    if labels != texts:
+        i = next(i for i, (lab, text) in enumerate(zip(labels, texts)) if lab != text)
+        raise ValueError(
+            f"document field 'elements' has {labels[i]!r} at index {i}, where "
+            f"{family} has {texts[i]!r}"
+        )
+    return family, enumerate_family(n)
 
 
 def _check_family_covers(p: Poset, family: str, vectors: list) -> None:

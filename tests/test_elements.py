@@ -1,3 +1,4 @@
+import hashlib
 from math import comb
 
 import pytest
@@ -8,6 +9,7 @@ from tamari import (
     INF,
     brute_force_type_a,
     brute_force_type_b,
+    element_texts,
     entry_sum,
     enumerate_type_a,
     enumerate_type_b,
@@ -19,6 +21,7 @@ from tamari import (
     type_a_violation,
     type_b_violation,
 )
+from tamari.cli import main
 
 CATALAN = [1, 1, 2, 5, 14, 42, 132, 429, 1430]
 
@@ -129,6 +132,55 @@ def test_enumeration_is_sorted():
     for n in range(1, 6):
         elements = enumerate_type_b(n)
         assert elements == sorted(elements)
+
+
+# -- element texts and the enumerate command ---------------------------------------
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_element_texts_are_the_formatted_vectors(n):
+    assert element_texts("a", n) == [format_vector(v) + "\n" for v in enumerate_type_a(n)]
+    assert element_texts("b", n) == [format_vector(v) + "\n" for v in enumerate_type_b(n)]
+
+
+def test_element_texts_rejects_bad_kind_and_n():
+    with pytest.raises(ValueError):
+        element_texts("c", 3)
+    with pytest.raises(ValueError):
+        element_texts("b", 11)
+
+
+def _enumerate_stdout(capsys, *args: str) -> bytes:
+    assert main(["enumerate", *args]) == 0
+    return capsys.readouterr().out.encode()
+
+
+@pytest.mark.parametrize(
+    "args, digest",
+    [
+        # sha256 of what the per-vector enumerators and format_vector printed
+        (("--type", "b", "--n", "10", "--format", "list", "--force"),
+         "52c232b0dd6c878b189fa4d44d2bbdd2e132643a975567795b02e0469b893777"),
+        (("--type", "a", "--n", "10", "--format", "list", "--force"),
+         "825e3034594f71abfa51b4798b946692f9409bdcd84df033aa8582f452d0bc34"),
+        (("--type", "b", "--n", "7", "--format", "json"),
+         "043e3092de90a5bcf0d86fdd3751d25964bc3020c65b9ffc7a6e613d88f100fa"),
+    ],
+)
+def test_enumerate_output_is_unchanged(capsys, args, digest):
+    assert hashlib.sha256(_enumerate_stdout(capsys, *args)).hexdigest() == digest
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_enumerate_count(capsys, n):
+    force = ("--force",) if n > 7 else ()
+    assert _enumerate_stdout(capsys, "--type", "b", "--n", str(n), "--format", "count", *force) == (
+        f"{comb(2 * n, n)}\n".encode()
+    )
+    catalan = comb(2 * n, n) // (n + 1)
+    assert _enumerate_stdout(capsys, "--type", "a", "--n", str(n), "--format", "count", *force) == (
+        f"{catalan}\n".encode()
+    )
 
 
 # -- prose consequences of the rules ---------------------------------------------

@@ -267,6 +267,41 @@ def test_cli_lambda_checks_k_before_building_the_poset(monkeypatch, capsys):
     assert capsys.readouterr().out == ""
 
 
+class _ClosedPipe:
+    """A stdout whose reader has gone away."""
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def flush(self):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("verify", "--claim", "all", "--n", "2"),
+        ("enumerate", "--type", "b", "--n", "3"),
+        ("enumerate", "--type", "a", "--n", "3", "--format", "count"),
+    ],
+)
+def test_cli_stops_quietly_on_a_closed_pipe(monkeypatch, capsys, args):
+    monkeypatch.setattr(sys, "stdout", _ClosedPipe())
+    assert tamari.cli.main(list(args)) == tamari.cli.EXIT_BROKEN_PIPE == 141
+    assert capsys.readouterr().err == ""
+
+
+def test_cli_whose_reader_is_gone_exits_without_traceback():
+    # the read end closes long before the command has anything to write
+    proc = subprocess.Popen([sys.executable, "-m", "tamari", "verify", "--claim", "all", "--n", "4"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=300) == 141
+    assert err == b""
+
+
 def test_tamari_poset_cap():
     with pytest.raises(ValueError):
         tamari_poset("b", 8)
