@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 
 from .elements import MAX_N, element_texts, format_vector
@@ -33,6 +34,8 @@ from .lattices import POSET_MAX_N, tamari_poset
 from .theorems import CLAIMS, REFUTED, shifted_level_map, verify_claims
 
 DEFAULT_CAP = 7
+# the text of --n: N, or N..M where a range is allowed
+_N_TEXT = re.compile(r"([0-9]+)(?:\.\.([0-9]+))?")
 # exit status when stdout's reader has gone away
 EXIT_BROKEN_PIPE = 141
 
@@ -83,20 +86,20 @@ def _parse_n(parser: argparse.ArgumentParser, text: str, allow_range: bool = Fal
              least: int = 1, cap: int = POSET_MAX_N) -> list[int]:
     """The values of ``--n``, each checked to lie in ``least..cap``.
 
-    The cap defaults to the poset cap, since lambda, verify and export all
-    build the poset; enumerate passes the library's enumeration limit.
+    The text is ASCII digits, ``N``, or ``N..M`` where a range is allowed;
+    nothing else ``int()`` would take (signs, spaces, underscores, other
+    scripts' digits) is an n.  The cap defaults to the poset cap, since
+    lambda, verify and export all build the poset; enumerate passes the
+    library's enumeration limit.
     """
-    try:
-        if allow_range and ".." in text:
-            lo_s, hi_s = text.split("..", 1)
-            lo, hi = int(lo_s), int(hi_s)
-            if lo > hi:
-                raise ValueError
-            ns = list(range(lo, hi + 1))
-        else:
-            ns = [int(text)]
-    except ValueError:
+    match = _N_TEXT.fullmatch(text)
+    if match is None or (match[2] is not None and not allow_range):
         parser.error(f"bad n value {text!r}")
+    lo = int(match[1])
+    hi = lo if match[2] is None else int(match[2])
+    if lo > hi:
+        parser.error(f"bad n value {text!r}")
+    ns = list(range(lo, hi + 1))
     for n in ns:
         if n < least:
             parser.error(f"n must be at least {least}")

@@ -267,6 +267,31 @@ def test_cli_lambda_checks_k_before_building_the_poset(monkeypatch, capsys):
     assert capsys.readouterr().out == ""
 
 
+@pytest.mark.parametrize("args", [
+    ("enumerate", "--type", "b", "--n", "1_0", "--force"),
+    ("enumerate", "--type", "b", "--n", "+3"),
+    ("enumerate", "--type", "b", "--n", "\u0664"),  # ARABIC-INDIC DIGIT FOUR
+    ("enumerate", "--type", "b", "--n", " 3"),
+    ("enumerate", "--type", "b", "--n", "3\n"),
+    ("enumerate", "--type", "b", "--n", "2..3"),
+    ("lambda", "--type", "b", "--n", "-4"),
+    ("export", "--type", "b", "--n", "", "--format", "json"),
+    ("verify", "--claim", "all", "--n", " 2.. 3"),
+    ("verify", "--claim", "all", "--n", "2..+3"),
+    ("verify", "--claim", "all", "--n", "2...3"),
+    ("verify", "--claim", "all", "--n", "3..2"),
+])
+def test_cli_accepts_only_ascii_digits_as_n(monkeypatch, capsys, args):
+    for name in ("element_texts", "tamari_poset", "verify_claims"):
+        monkeypatch.setattr(tamari.cli, name, _refuse)
+    with pytest.raises(SystemExit) as exit_:
+        tamari.cli.main(list(args))
+    assert exit_.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"bad n value {args[args.index('--n') + 1]!r}" in captured.err
+
+
 class _ClosedPipe:
     """A stdout whose reader has gone away."""
 

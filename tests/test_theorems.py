@@ -3,6 +3,8 @@ import random
 import numpy as np
 import pytest
 
+import tamari.gk
+import tamari.theorems
 from conftest import random_poset
 from tamari import (
     INF,
@@ -12,12 +14,16 @@ from tamari import (
     Poset,
     VerificationReport,
     antichain_partition,
+    chain_union_sizes,
     entry_sum,
+    enumerate_type_b,
     first_chain,
+    format_vector,
     is_lattice,
     is_type_b,
     leq_componentwise,
     second_chain,
+    shifted_level_map,
     tamari_poset,
     verify_claims,
     verify_disjoint,
@@ -25,6 +31,8 @@ from tamari import (
     verify_level_sums,
     verify_structure,
 )
+from tamari.poset import LevelAssignment
+from test_flow import T8B_RECORDED
 
 GOLDEN_FIRST_4 = [
     (0, 0, 0, 0), (0, 0, 0, 1), (0, 0, 0, 2), (0, 0, 0, 3), (0, 0, 0, INF),
@@ -191,6 +199,150 @@ def test_lambda2_verified(n):
     assert report.data["lambda"] == [n * n + 1, n * n - 4]
     assert len(report.data["first_chain"]) == n * n + 1
     assert len(report.data["second_chain"]) == n * n - 4
+
+
+@pytest.mark.parametrize("n", [4, 5, 6, 7])
+def test_lambda2_certificate_agrees_with_the_flow(n):
+    report = verify_lambda2(n)
+    flow = chain_union_sizes(tamari_poset("b", n), 2)
+    assert report.data["lambda"] == [flow[0], flow[1] - flow[0]]
+    sizes = report.data["fiber_sizes"]
+    assert len(sizes) == n * n + 1
+    assert sum(sizes) == tamari_poset("b", n).n
+    assert sum(min(2, s) for s in sizes) == 2 * n * n - 3
+    assert report.data["singletons"] == [
+        format_vector(v)
+        for v in [(0,) * n, (0,) * (n - 1) + (1,), (n - 2,) + (INF,) * (n - 1),
+                  (n - 1,) + (INF,) * (n - 1), (INF,) * n]
+    ]
+
+
+def test_shifted_fibers_of_t8b_bound_the_recorded_parts():
+    # T_8^B is past the poset cap of tamari_poset, so build it directly
+    p = Poset.from_vectors(enumerate_type_b(8))
+    fibers = shifted_level_map(p).fibers()
+    assert len(fibers) == 65 == T8B_RECORDED[0][0]
+    assert sum(1 for members in fibers.values() if len(members) == 1) == 5
+    assert sum(min(2, len(members)) for members in fibers.values()) == (
+        T8B_RECORDED[0][0] + T8B_RECORDED[1][0]
+    ) == 125
+
+
+class _NoFlow:
+    def __init__(self, *args, **kwargs):
+        raise AssertionError("thm1 ran the flow")
+
+
+@pytest.mark.parametrize("n", [4, 5, 6, 7])
+def test_lambda2_runs_no_flow(monkeypatch, n):
+    monkeypatch.setattr(tamari.gk, "_ChainNetwork", _NoFlow)
+    assert verify_lambda2(n).status == VERIFIED
+
+
+# -- mutated inputs of the thm1 certificate -------------------------------------------
+
+
+def _patch_shifted_levels(monkeypatch, mutate):
+    """Let ``mutate(p, levels)`` edit the shifted level list verify_lambda2 reads."""
+    level_map = Poset.level_map
+
+    def patched(self, mode="lowest"):
+        assignment = level_map(self, mode)
+        if mode != "shifted":
+            return assignment
+        levels = list(assignment.levels)
+        mutate(self, levels)
+        return LevelAssignment(tuple(levels), mode)
+
+    monkeypatch.setattr(Poset, "level_map", patched)
+
+
+def _first_comparable(p, members):
+    for a in members:
+        for b in members:
+            if a != b and p.leq(a, b):
+                return a, b
+    return None
+
+
+def test_lambda2_refutes_an_element_moved_to_a_comparable_fiber(monkeypatch):
+    n = 4
+    p = tamari_poset("b", n)
+    levels = p.level_map("shifted").levels
+    # a level-3 element below some level-4 element; both fibers keep >= 2
+    # members, so the fiber count and sum(min(2, |fiber|)) do not change
+    x = next(
+        a for a in range(p.n) if levels[a] == 3
+        and any(levels[b] == 4 and p.leq(a, b) for b in range(p.n))
+    )
+
+    def move(_, lv):
+        lv[x] = 4
+
+    _patch_shifted_levels(monkeypatch, move)
+    report = verify_lambda2(n)
+    assert report.status == REFUTED
+    members = sorted([x] + [b for b in range(p.n) if levels[b] == 4])
+    a, b = _first_comparable(p, members)
+    assert x in (a, b)
+    assert report.witness == [
+        f"fiber 4 is not an antichain: {format_vector(p.labels[a])} "
+        f"<= {format_vector(p.labels[b])}"
+    ]
+
+
+def test_lambda2_refutes_merged_fibers(monkeypatch):
+    def merge(_, lv):
+        lv[:] = [3 if level == 4 else level for level in lv]
+
+    _patch_shifted_levels(monkeypatch, merge)
+    report = verify_lambda2(4)
+    assert report.status == REFUTED
+    assert "first chain has 17 elements, but there are 16 fibers" in report.witness
+    assert report.data["bounds"][0] == 16
+
+
+@pytest.mark.parametrize("mutate", [
+    lambda chain: chain[:3] + chain[2:3] + chain[4:],
+    lambda chain: chain[:2] + [chain[3], chain[2]] + chain[4:],
+], ids=["repeated_element", "step_down"])
+def test_lambda2_refutes_a_non_increasing_chain_step(monkeypatch, mutate):
+    second = tamari.theorems.second_chain
+    monkeypatch.setattr(tamari.theorems, "second_chain",
+                        lambda n, with_prefix=False: mutate(second(n, with_prefix)))
+    report = verify_lambda2(4)
+    assert report.status == REFUTED
+    assert report.witness == ["second chain is not strictly increasing"]
+
+
+def test_lambda2_refutes_overlapping_chains(monkeypatch):
+    second = tamari.theorems.second_chain
+    # (0,0,0,0) lies on the first chain and below (0,0,1,2), so only the
+    # overlap is wrong
+    monkeypatch.setattr(tamari.theorems, "second_chain",
+                        lambda n, with_prefix=False: [(0,) * n] + second(n, with_prefix)[1:])
+    report = verify_lambda2(4)
+    assert report.status == REFUTED
+    assert report.witness == ["the two chains intersect"]
+
+
+def test_lambda2_refutes_an_invalid_chain_element(monkeypatch):
+    second = tamari.theorems.second_chain
+    # (0,0,1,1) breaks rule (i) but lies strictly below (0,0,1,2)
+    monkeypatch.setattr(tamari.theorems, "second_chain",
+                        lambda n, with_prefix=False: [(0, 0, 1, 1)] + second(n, with_prefix)[1:])
+    report = verify_lambda2(4)
+    assert report.status == REFUTED
+    assert report.witness == ["second chain contains an invalid element"]
+
+
+def test_lambda2_refutes_chains_short_of_the_two_chain_bound(monkeypatch):
+    second = tamari.theorems.second_chain
+    monkeypatch.setattr(tamari.theorems, "second_chain",
+                        lambda n, with_prefix=False: second(n, with_prefix)[:-1])
+    report = verify_lambda2(4)
+    assert report.status == REFUTED
+    assert report.witness == ["chains total 28, but the fibers bound two chains by 29"]
 
 
 def test_lambda2_skipped_below_hypothesis():
