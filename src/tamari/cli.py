@@ -1,12 +1,13 @@
 """Command line interface: enumerate, lambda, verify, export.
 
 Every command writes deterministic bytes for a given command line, and
-checks all of its arguments before it does any work.  ``lambda``, ``verify``
-and ``export`` build the poset and stop at its cap, n <= 7.  ``enumerate``
-has a default cap of n <= 7, which ``--force`` lifts (with a warning on
-stderr) up to the library's own enumeration limit; it writes the element
-texts straight from the enumeration walk (``element_texts``) and never
-builds a vector.
+checks all of its arguments before it does any work.  ``--n`` and ``--k``
+take ASCII digits only, by one grammar: ``N``, or ``N..M`` for verify's
+``--n``.  ``lambda``, ``verify`` and ``export`` build the poset and stop at
+its cap, n <= 7.  ``enumerate`` has a default cap of n <= 7, which
+``--force`` lifts (with a warning on stderr) up to the library's own
+enumeration limit; it writes the element texts straight from the
+enumeration walk (``element_texts``) and never builds a vector.
 
 When the reader of stdout goes away (``tamari ... | head``), a command
 stops quietly with exit status 141 (128 + SIGPIPE, what a shell reports for
@@ -34,8 +35,8 @@ from .lattices import POSET_MAX_N, tamari_poset
 from .theorems import CLAIMS, REFUTED, shifted_level_map, verify_claims
 
 DEFAULT_CAP = 7
-# the text of --n: N, or N..M where a range is allowed
-_N_TEXT = re.compile(r"([0-9]+)(?:\.\.([0-9]+))?")
+# the text of --n and --k: N, or N..M where a range is allowed
+_INT_TEXT = re.compile(r"([0-9]+)(?:\.\.([0-9]+))?")
 # exit status when stdout's reader has gone away
 EXIT_BROKEN_PIPE = 141
 
@@ -65,7 +66,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_lambda = subs.add_parser("lambda", help="chain-partition parts and chain unions")
     _add_common(p_lambda)
-    p_lambda.add_argument("--k", type=int, default=None,
+    p_lambda.add_argument("--k", default=None,
                           help="report the maximum union of k chains instead")
 
     p_verify = subs.add_parser("verify", help="machine-check the claims registry")
@@ -82,34 +83,37 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _parse_n(parser: argparse.ArgumentParser, text: str, allow_range: bool = False,
-             least: int = 1, cap: int = POSET_MAX_N) -> list[int]:
-    """The values of ``--n``, each checked to lie in ``least..cap``.
+def _parse_int(parser: argparse.ArgumentParser, name: str, text: str, allow_range: bool = False,
+               least: int = 1, cap: int | None = POSET_MAX_N) -> range:
+    """The values of the option ``--{name}``, checked to lie in ``least..cap``.
 
     The text is ASCII digits, ``N``, or ``N..M`` where a range is allowed;
     nothing else ``int()`` would take (signs, spaces, underscores, other
-    scripts' digits) is an n.  The cap defaults to the poset cap, since
-    lambda, verify and export all build the poset; enumerate passes the
-    library's enumeration limit.
+    scripts' digits) is a value.  Only a range's ends are checked, so its
+    width costs nothing.  The cap defaults to the poset cap, since lambda,
+    verify and export all build the poset; enumerate passes the library's
+    enumeration limit, and ``--k`` has none.
     """
-    match = _N_TEXT.fullmatch(text)
+    bad = f"bad {name} value {text!r}"
+    match = _INT_TEXT.fullmatch(text)
     if match is None or (match[2] is not None and not allow_range):
-        parser.error(f"bad n value {text!r}")
-    lo = int(match[1])
-    hi = lo if match[2] is None else int(match[2])
+        parser.error(bad)
+    try:
+        lo, hi = int(match[1]), int(match[2] or match[1])
+    except ValueError:  # more digits than int() converts
+        parser.error(bad)
     if lo > hi:
-        parser.error(f"bad n value {text!r}")
-    ns = list(range(lo, hi + 1))
-    for n in ns:
-        if n < least:
-            parser.error(f"n must be at least {least}")
-        if n > cap:
-            parser.error(f"n={n} exceeds the {'poset' if cap == POSET_MAX_N else 'hard'} cap {cap}")
-    return ns
+        parser.error(bad)
+    if lo < least:
+        parser.error(f"{name} must be at least {least}")
+    if cap is not None and hi > cap:  # name the least value above the cap
+        parser.error(f"{name}={max(lo, cap + 1)} exceeds the "
+                     f"{'poset' if cap == POSET_MAX_N else 'hard'} cap {cap}")
+    return range(lo, hi + 1)
 
 
 def _cmd_enumerate(args, parser) -> int:
-    (n,) = _parse_n(parser, args.n, cap=MAX_N)
+    (n,) = _parse_int(parser, "n", args.n, cap=MAX_N)
     if n > DEFAULT_CAP:
         if not args.force:
             parser.error(f"n={n} exceeds the default cap {DEFAULT_CAP}; pass --force to override")
@@ -127,14 +131,14 @@ def _cmd_enumerate(args, parser) -> int:
 
 
 def _cmd_lambda(args, parser) -> int:
-    (n,) = _parse_n(parser, args.n)
-    if args.k is not None and args.k < 1:
-        parser.error("--k must be at least 1")
+    (n,) = _parse_int(parser, "n", args.n)
+    if args.k is not None:
+        (k,) = _parse_int(parser, "k", args.k, cap=None)
     p = tamari_poset(args.type, n)
     if args.k is None:
         print(json.dumps(list(gk_partition(p).parts)))
         return 0
-    family = max_chain_union(p, args.k)
+    family = max_chain_union(p, k)
     print(family.total)
     for i, chain in enumerate(family.chains, start=1):
         body = ",".join(format_vector(p.labels[e]) for e in chain)
@@ -144,14 +148,14 @@ def _cmd_lambda(args, parser) -> int:
 
 def _cmd_verify(args, parser) -> int:
     # every claim needs n >= 2
-    reports = verify_claims(args.claim, _parse_n(parser, args.n, allow_range=True, least=2))
+    reports = verify_claims(args.claim, _parse_int(parser, "n", args.n, allow_range=True, least=2))
     for report in reports:
         sys.stdout.write(dumps_report(report))
     return 1 if any(r.status == REFUTED for r in reports) else 0
 
 
 def _cmd_export(args, parser) -> int:
-    (n,) = _parse_n(parser, args.n)
+    (n,) = _parse_int(parser, "n", args.n)
     p = tamari_poset(args.type, n)
     levels = None
     if args.layout == "lowest":

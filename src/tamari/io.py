@@ -119,12 +119,11 @@ def document_to_poset(doc: Mapping) -> Poset:
             if not isinstance(lv, int) or isinstance(lv, bool):
                 raise ValueError(f"level {lv!r} of key {key!r} is not an integer")
             fibers.setdefault(lv, []).append(i)
-        for members in fibers.values():
-            bad = p.first_comparable_pair(members)
-            if bad is not None:
-                raise ValueError(
-                    f"level fiber is not an antichain: {labels[bad[0]]!r} <= {labels[bad[1]]!r}"
-                )
+        bad = p.first_comparable_in_parts(fibers.values())
+        if bad is not None:
+            raise ValueError(
+                f"level fiber is not an antichain: {labels[bad[0]]!r} <= {labels[bad[1]]!r}"
+            )
     return p
 
 

@@ -7,9 +7,9 @@ from functools import lru_cache
 from .elements import enumerate_type_a, enumerate_type_b
 from .poset import Poset
 
-# Poset building stops at n = 7 although enumeration runs further: the rows
-# of T_8^B take only about 20 MB, but its Greene-Kleitman flow takes about
-# half a minute (26 s on a 2-vCPU Xeon with Python 3.11; T_7^B takes 1.6 s).
+# One cap gates every poset command (lambda, verify, export), though it
+# tracks the cost of none but lambda's full chain partition (about half a
+# minute on T_8^B); verify runs no flow for n >= 4 and export never does.
 POSET_MAX_N = 7
 
 
@@ -26,8 +26,8 @@ def tamari_poset(kind: str, n: int) -> Poset:
         raise ValueError(f"n must be a positive integer, got {n!r}")
     if n > POSET_MAX_N:
         raise ValueError(
-            f"n={n} exceeds the poset cap {POSET_MAX_N}; the chain flow "
-            "beyond it takes about half a minute"
+            f"n={n} exceeds the poset cap {POSET_MAX_N}, which gates every "
+            "poset command"
         )
     if kind == "b":
         return Poset.from_vectors(enumerate_type_b(n))

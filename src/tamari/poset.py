@@ -452,6 +452,12 @@ class Poset:
                 return a, next(b for b in members if hit >> b & 1)
         return None
 
+    def first_comparable_in_parts(self, parts: Iterable[Sequence[int]]) -> tuple[int, int] | None:
+        """The first comparable pair inside one of ``parts``, one
+        :meth:`first_comparable_pair` scan per part in their given order until
+        a hit; None when every part is an antichain."""
+        return next(filter(None, map(self.first_comparable_pair, parts)), None)
+
     def index(self, label) -> int:
         return self._label_index[label]
 

@@ -20,7 +20,7 @@ carries a witness and a verification carries its certificate data.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 from .elements import (
     INF,
@@ -153,16 +153,6 @@ def verify_disjoint(c1: Sequence[Vector], c2: Sequence[Vector]) -> VerificationR
 # -- level assignments ----------------------------------------------------------
 
 
-def _comparable_in_fibers(p: Poset, fibers: Iterable[Sequence[int]]) -> tuple[int, int] | None:
-    """The first comparable pair inside one of ``fibers``, one row scan per
-    fiber; None when every fiber is an antichain."""
-    for fiber in fibers:
-        bad = p.first_comparable_pair(fiber)
-        if bad is not None:
-            return bad
-    return None
-
-
 def shifted_level_map(p: Poset) -> LevelAssignment:
     """Lowest levels with every unleveled element raised by one.
 
@@ -172,7 +162,7 @@ def shifted_level_map(p: Poset) -> LevelAssignment:
     leans on it; a failure would be an internal contradiction.
     """
     assignment = p.level_map("shifted")
-    bad = _comparable_in_fibers(p, assignment.fibers().values())
+    bad = p.first_comparable_in_parts(assignment.fibers().values())
     if bad is not None:
         raise RuntimeError(
             f"shifted fiber is not an antichain: {p.labels[bad[0]]!r} "
@@ -258,7 +248,7 @@ def verify_lambda2(n: int) -> VerificationReport:
     problems: list[str] = []
     assignment = p.level_map("shifted")
     fibers = assignment.fibers()
-    bad = _comparable_in_fibers(p, fibers.values())
+    bad = p.first_comparable_in_parts(fibers.values())
     if bad is not None:
         a, b = (format_vector(p.labels[i]) for i in bad)
         problems.append(f"fiber {assignment[bad[0]]} is not an antichain: {a} <= {b}")

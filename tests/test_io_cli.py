@@ -3,6 +3,7 @@ import json
 import re
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
@@ -290,6 +291,58 @@ def test_cli_accepts_only_ascii_digits_as_n(monkeypatch, capsys, args):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert f"bad n value {args[args.index('--n') + 1]!r}" in captured.err
+
+
+@pytest.mark.parametrize("k", [
+    "1_0", "+2", " 2", "2 ", "2\n", "\u0662",  # ARABIC-INDIC DIGIT TWO
+    "-1", "", "x", "2.0", "2..3",
+])
+def test_cli_accepts_only_ascii_digits_as_k(monkeypatch, capsys, k):
+    monkeypatch.setattr(tamari.cli, "tamari_poset", _refuse)
+    with pytest.raises(SystemExit) as exit_:
+        tamari.cli.main(["lambda", "--type", "b", "--n", "2", "--k", k])
+    assert exit_.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"bad k value {k!r}" in captured.err
+
+
+@pytest.mark.parametrize("args, message", [
+    (("lambda", "--type", "b", "--n", "2", "--k", "0"), "k must be at least 1"),
+    (("lambda", "--type", "b", "--n", "2", "--k", "00"), "k must be at least 1"),
+    # more digits than int() converts is not a value either
+    (("lambda", "--type", "b", "--n", "2", "--k", "1" * 5000), f"bad k value '{'1' * 5000}'"),
+    (("lambda", "--type", "b", "--n", "1" * 5000), f"bad n value '{'1' * 5000}'"),
+], ids=["k_zero", "k_zeros", "k_past_int_digits", "n_past_int_digits"])
+def test_cli_k_shares_the_n_bounds_check(monkeypatch, capsys, args, message):
+    monkeypatch.setattr(tamari.cli, "tamari_poset", _refuse)
+    with pytest.raises(SystemExit) as exit_:
+        tamari.cli.main(list(args))
+    assert exit_.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.endswith(f"error: {message}\n")
+
+
+@pytest.mark.parametrize("text, message", [
+    ("2..3000000", "n=8 exceeds the poset cap 7"),
+    ("1..3000000", "n must be at least 2"),
+])
+def test_cli_checks_a_wide_n_range_by_its_ends(monkeypatch, capsys, text, message):
+    # the range is refused before any of its values exists
+    monkeypatch.setattr(tamari.cli, "verify_claims", _refuse)
+    tracemalloc.start()
+    try:
+        with pytest.raises(SystemExit) as exit_:
+            tamari.cli.main(["verify", "--claim", "all", "--n", text])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert exit_.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.endswith(f"error: {message}\n")
+    assert peak < 4_000_000
 
 
 class _ClosedPipe:

@@ -70,6 +70,15 @@ def dense_first_comparable_pair(p: Poset, members: list[int]):
     return int(idx[i]), int(idx[j])
 
 
+def dense_first_comparable_in_parts(p: Poset, parts: list[list[int]]):
+    """The dense first pair of the first part that has one."""
+    for members in parts:
+        bad = dense_first_comparable_pair(p, members)
+        if bad is not None:
+            return bad
+    return None
+
+
 # -- posets under test -------------------------------------------------------------
 
 
@@ -127,11 +136,25 @@ def test_dual_matches_dense():
 
 def test_first_comparable_pair_matches_dense_fiber_check():
     rng = random.Random(2)
+    parts_rng = random.Random(3)  # its own stream: the member lists do not depend on it
     for p in SAMPLES:
         for _ in range(10):
             # duplicates model two document keys naming one element
             members = [rng.randrange(p.n) for _ in range(rng.randint(1, min(p.n, 8)))]
             assert p.first_comparable_pair(members) == dense_first_comparable_pair(p, members)
+        # the parts form: random lists of random member lists
+        fibers = list(p.level_map("lowest").fibers().values())
+        for _ in range(10):
+            parts = [
+                [parts_rng.randrange(p.n) for _ in range(parts_rng.randint(1, min(p.n, 8)))]
+                for _ in range(parts_rng.randint(0, 5))
+            ]
+            # antichain parts first, so a hit may come only in a late part
+            if parts_rng.random() < 0.5:
+                parts = fibers + parts
+            expected = dense_first_comparable_in_parts(p, parts)
+            assert p.first_comparable_in_parts(parts) == expected
+            assert p.first_comparable_in_parts(iter(parts)) == expected
 
 
 def test_level_fibers_are_antichains_by_both_checks():
