@@ -26,6 +26,7 @@ from .elements import (
     RuleViolation,
     brute_force_type_a,
     brute_force_type_b,
+    element_listing,
     element_texts,
     entry_sum,
     enumerate_type_a,
@@ -84,6 +85,7 @@ __all__ = [
     "RuleViolation",
     "brute_force_type_a",
     "brute_force_type_b",
+    "element_listing",
     "element_texts",
     "entry_sum",
     "enumerate_type_a",

@@ -6,8 +6,9 @@ take ASCII digits only, by one grammar: ``N``, or ``N..M`` for verify's
 ``--n``.  ``lambda``, ``verify`` and ``export`` build the poset and stop at
 its cap, n <= 7.  ``enumerate`` has a default cap of n <= 7, which
 ``--force`` lifts (with a warning on stderr) up to the library's own
-enumeration limit; it writes the element texts straight from the
-enumeration walk (``element_texts``) and never builds a vector.
+enumeration limit; it writes the element listing straight from the
+enumeration walk (``element_listing``) and never builds a vector.
+``lambda --k`` stops at the family's element count, known from n alone.
 
 When the reader of stdout goes away (``tamari ... | head``), a command
 stops quietly with exit status 141 (128 + SIGPIPE, what a shell reports for
@@ -18,11 +19,12 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import re
 import sys
 
-from .elements import MAX_N, element_texts, format_vector
+from .elements import MAX_N, element_listing, format_vector
 from .gk import gk_partition, max_chain_union
 from .io import (
     dumps_document,
@@ -92,7 +94,8 @@ def _parse_int(parser: argparse.ArgumentParser, name: str, text: str, allow_rang
     scripts' digits) is a value.  Only a range's ends are checked, so its
     width costs nothing.  The cap defaults to the poset cap, since lambda,
     verify and export all build the poset; enumerate passes the library's
-    enumeration limit, and ``--k`` has none.
+    enumeration limit, and ``--k`` passes none: lambda checks it against
+    the element count instead.
     """
     bad = f"bad {name} value {text!r}"
     match = _INT_TEXT.fullmatch(text)
@@ -119,21 +122,31 @@ def _cmd_enumerate(args, parser) -> int:
             parser.error(f"n={n} exceeds the default cap {DEFAULT_CAP}; pass --force to override")
         print(f"warning: n={n} exceeds the default cap {DEFAULT_CAP}; expect large output",
               file=sys.stderr)
-    texts = element_texts(args.type, n)
+    listing = element_listing(args.type, n)
     if args.format == "count":
-        print(len(texts))
+        print(listing.count("\n"))
     elif args.format == "list":
-        sys.stdout.write("".join(texts))
+        sys.stdout.write(listing)
     else:
-        doc = elements_document([text[:-1] for text in texts], kind=f"tamari_{args.type}", n=n)
+        doc = elements_document(listing.splitlines(), kind=f"tamari_{args.type}", n=n)
         sys.stdout.write(dumps_document(doc))
     return 0
+
+
+def _family_size(kind: str, n: int) -> int:
+    """|T_n^B| = C(2n, n) and |T_n| = Catalan(n), from n alone."""
+    central = math.comb(2 * n, n)
+    return central if kind == "b" else central // (n + 1)
 
 
 def _cmd_lambda(args, parser) -> int:
     (n,) = _parse_int(parser, "n", args.n)
     if args.k is not None:
         (k,) = _parse_int(parser, "k", args.k, cap=None)
+        size = _family_size(args.type, n)
+        if k > size:  # more chains than elements would only print empty ones
+            parser.error(f"k={k} exceeds the {size} elements of "
+                         f"T_{n}{'^B' if args.type == 'b' else ''}")
     p = tamari_poset(args.type, n)
     if args.k is None:
         print(json.dumps(list(gk_partition(p).parts)))

@@ -8,7 +8,7 @@ enumerators, the componentwise order, and the canonical text form
 ``"(0,0,3,inf)"`` used wherever a vector is serialized.
 
 A prefix constrains the rest of a vector only through a small state, and
-both enumerators and :func:`element_texts` are one memoised walk over those
+both enumerators and :func:`element_listing` are one memoised walk over those
 states (:func:`_walk`).  Type B rule (i) needs, for each look-back distance
 d, the largest ``entries[pos - e] + e`` over ``e <= d``; it is clamped at n,
 which is exact since no finite entry reaches n, and of it only the distances
@@ -227,18 +227,20 @@ def _check_n(n: int) -> None:
         raise ValueError(f"n={n} exceeds the enumeration cap {MAX_N}")
 
 
-def _walk(n: int, start, moves, opening, pieces) -> list:
-    """Every vector the rules allow, as ``opening`` plus one piece per
-    position, in the order ``moves`` lists the values.
+def _walk(n: int, start, moves, opening, pieces) -> list[tuple]:
+    """Every vector the rules allow, as ``(prefix, suffixes)`` blocks in
+    order: each vector of a block is its ``prefix`` plus one of its
+    ``suffixes``, and ``prefix`` is ``opening`` plus one piece per position
+    below ``n // 2``.
 
     ``moves(pos, state)`` lists ``(value, next_state)`` for the values a
-    vector may hold at 0-based ``pos`` after a prefix in ``state``, and
-    ``pieces[pos][value]`` is the value's piece of the output.  The
-    completions of a prefix depend on it only through its state, so a
+    vector may hold at 0-based ``pos`` after a prefix in ``state``, in
+    order, and ``pieces[pos][value]`` is the value's piece of the output.
+    The completions of a prefix depend on it only through its state, so a
     forward pass collects the states reachable at each position, a backward
     pass builds the suffixes from each state at positions ``n // 2`` and on
-    once, and the prefixes of length ``n // 2`` are each joined with the
-    suffixes of their state.  Only the output outlives the call.
+    once, and each prefix of length ``n // 2`` is paired with the suffixes
+    of its state.  Every state has a completion, so no block is empty.
     """
     split = n // 2
     # forward: the steps out of every state reachable at each position
@@ -263,14 +265,19 @@ def _walk(n: int, start, moves, opening, pieces) -> list:
             for piece, nxt in got:
                 suffixes += map(piece.__add__, below[nxt])
         below = level
-    # prefixes down to split, each joined with the suffixes of its state
+    # prefixes down to split, each paired with the suffixes of its state
     prefixes = [(opening, start)]
     for pos in range(split):
         table = steps[pos]
         prefixes = [(prefix + piece, nxt) for prefix, state in prefixes for piece, nxt in table[state]]
+    return [(prefix, below[state]) for prefix, state in prefixes]
+
+
+def _vectors(blocks: list[tuple]) -> list:
+    """The vectors of :func:`_walk`'s blocks over 1-tuple pieces."""
     out: list = []
-    for prefix, state in prefixes:
-        out += map(prefix.__add__, below[state])
+    for prefix, suffixes in blocks:
+        out += map(prefix.__add__, suffixes)
     return out
 
 
@@ -359,7 +366,7 @@ def enumerate_type_b(n: int) -> list[Vector]:
     more excludes all of them), and rule (ii) only the mask of positions it
     forces to ``inf``.
     """
-    return _walk(n, *_family("b", n), (), [_TUPLE_PIECE] * n)
+    return _vectors(_walk(n, *_family("b", n), (), [_TUPLE_PIECE] * n))
 
 
 def enumerate_type_a(n: int) -> list[Vector]:
@@ -370,19 +377,30 @@ def enumerate_type_a(n: int) -> list[Vector]:
     earlier entry greater than ``pos``, or ``n`` if there is none (rule (ii)),
     so a prefix matters only through those earlier entries.
     """
-    return _walk(n, *_family("a", n), (), [_TUPLE_PIECE] * n)
+    return _vectors(_walk(n, *_family("a", n), (), [_TUPLE_PIECE] * n))
+
+
+def element_listing(kind: str, n: int) -> str:
+    """The canonical texts of the elements of ``T_n`` (``kind="a"``) or
+    ``T_n^B`` (``kind="b"``), one line each, in enumeration order.
+
+    The same walk as the enumerators, over text pieces instead of 1-tuples,
+    without building any vector.  Each suffix ends in a newline, so a block
+    of the walk is written as ``prefix + prefix.join(suffixes)``: one join
+    per prefix of length n // 2 (3,003 of them for ``T_10^B``).
+    """
+    start, moves = _family(kind, n)
+    blocks = _walk(n, start, moves, "(", [_TEXT_PIECE] * (n - 1) + [_LAST_TEXT_PIECE])
+    return "".join([prefix + prefix.join(suffixes) for prefix, suffixes in blocks])
 
 
 def element_texts(kind: str, n: int) -> list[str]:
-    """The canonical texts of the elements of ``T_n`` (``kind="a"``) or
-    ``T_n^B`` (``kind="b"``), each ending in a newline, in enumeration order.
-
-    The same walk as the enumerators, over text pieces instead of 1-tuples:
+    """The lines of :func:`element_listing`, each ending in a newline:
     ``element_texts(kind, n)[i] == format_vector(v) + "\\n"`` for the i-th
-    enumerated vector ``v``, without building any vector.
+    enumerated vector ``v``.  A text holds no other line break, so
+    ``splitlines`` splits exactly at the newlines.
     """
-    start, moves = _family(kind, n)
-    return _walk(n, start, moves, "(", [_TEXT_PIECE] * (n - 1) + [_LAST_TEXT_PIECE])
+    return element_listing(kind, n).splitlines(keepends=True)
 
 
 def brute_force_type_b(n: int) -> list[Vector]:

@@ -9,14 +9,18 @@ always serialized in their text form).
 from __future__ import annotations
 
 import json
-from typing import Mapping
+from itertools import chain
+from typing import Iterable, Mapping, Sequence
 
-from .elements import MAX_N, element_texts, enumerate_type_a, enumerate_type_b, format_vector
+from .elements import MAX_N, element_listing, enumerate_type_a, enumerate_type_b, format_vector
 from .poset import LevelAssignment, Poset
 
 FORMAT_VERSION = 1
 
 _KINDS = ("tamari_a", "tamari_b", "generic")
+
+# json's own string escape, in C where the interpreter has it
+_encode_str = json.encoder.encode_basestring_ascii
 
 # kind -> (type letter, enumerator, name of T_n in messages) for the Tamari families
 _FAMILIES = {
@@ -100,10 +104,13 @@ def document_to_poset(doc: Mapping) -> Poset:
         if lab in seen:
             raise ValueError(f"duplicate element label {lab!r}")
         seen.add(lab)
-    family = _family_vectors(kind, doc.get("n"), labels)
-    p = Poset.from_covers(labels, doc["covers"])
-    if family is not None:
-        _check_family_covers(p, *family)
+    family = _family_poset(kind, doc.get("n"), labels)
+    if family is not None and family[1].is_closure_of(doc["covers"]):
+        p = family[1].relabeled(labels)
+    else:
+        p = Poset.from_covers(labels, doc["covers"])
+        if family is not None:
+            _check_family_covers(p, *family)
     levels = doc.get("levels")
     if levels is not None:
         if not isinstance(levels, Mapping):
@@ -127,9 +134,10 @@ def document_to_poset(doc: Mapping) -> Poset:
     return p
 
 
-def _family_vectors(kind: str, n: int | None, labels: list[str]) -> tuple[str, list] | None:
-    """The name and elements of a Tamari document's family, after checking
-    that ``labels`` are exactly their texts; None for a generic document."""
+def _family_poset(kind: str, n: int | None, labels: list[str]) -> tuple[str, Poset] | None:
+    """The name and componentwise poset of a Tamari document's family, after
+    checking that ``labels`` are exactly its element texts; None for a
+    generic document."""
     if kind not in _FAMILIES:
         return None
     letter, enumerate_family, name = _FAMILIES[kind]
@@ -137,7 +145,7 @@ def _family_vectors(kind: str, n: int | None, labels: list[str]) -> tuple[str, l
         raise ValueError(f"document field 'n' is missing; kind {kind!r} needs it")
     if n > MAX_N:
         raise ValueError(f"document field 'n' is {n}, beyond the enumeration cap {MAX_N}")
-    texts = [text[:-1] for text in element_texts(letter, n)]
+    texts = element_listing(letter, n).splitlines()
     family = name.format(n)
     if len(labels) != len(texts):
         raise ValueError(
@@ -150,29 +158,103 @@ def _family_vectors(kind: str, n: int | None, labels: list[str]) -> tuple[str, l
             f"document field 'elements' has {labels[i]!r} at index {i}, where "
             f"{family} has {texts[i]!r}"
         )
-    return family, enumerate_family(n)
+    return family, Poset.from_vectors(enumerate_family(n))
 
 
-def _check_family_covers(p: Poset, family: str, vectors: list) -> None:
-    """Require the rebuilt order to be the family's componentwise order,
-    naming the first wrong cover, else the first missing one; the family's
-    covers are built only to name a failure."""
-    if p.is_componentwise(vectors):
-        return
-    got, want = set(p.covers), set(Poset.from_vectors(vectors).covers)
+def _check_family_covers(p: Poset, family: str, order: Poset) -> None:
+    """Require a document's rebuilt order ``p`` to be its family's ``order``,
+    naming the first wrong cover, else the first missing one."""
+    got, want = set(p.covers), set(order.covers)
     if got - want:
         u, v = min(got - want)
         raise ValueError(
             f"document field 'covers' has {p.labels[u]} < {p.labels[v]}, not a cover of {family}"
         )
-    u, v = min(want - got)
-    raise ValueError(
-        f"document field 'covers' misses the cover {p.labels[u]} < {p.labels[v]} of {family}"
-    )
+    if want - got:
+        u, v = min(want - got)
+        raise ValueError(
+            f"document field 'covers' misses the cover {p.labels[u]} < {p.labels[v]} of {family}"
+        )
 
 
 def dumps_document(doc: Mapping) -> str:
-    return json.dumps(doc, indent=2, allow_nan=False) + "\n"
+    """The bytes of ``json.dumps(doc, indent=2, allow_nan=False) + "\\n"``.
+
+    On Python 3.10-3.12 ``json.dumps`` runs its pure-Python encoder whenever
+    ``indent`` is set.  Here the containers are laid out in Python, but a
+    run of str or int leaves (the element texts, the ``[u, v]`` cover pairs,
+    the levels) is written by one %-format at C speed, after one C-level
+    escape of each str (``encode_basestring_ascii``); any other leaf goes
+    through ``json.dumps``, so a NaN still raises ValueError.
+    """
+    return _encode(doc, "\n") + "\n"
+
+
+def _encode(value, margin: str) -> str:
+    """The JSON text of ``value`` laid out as ``json.dumps(indent=2)`` does,
+    where ``margin`` is the newline and indent of the line it starts on."""
+    inner = margin + "  "
+    sep = "," + inner
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        run = _run(value, inner)
+        if run is None:
+            body = sep.join([_encode(item, inner) for item in value])
+        else:
+            spec, _, args = run
+            body = sep.join([spec] * len(value)) % tuple(args)
+        return "[" + inner + body + margin + "]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        keys = map(_key_text, value)
+        run = _run(list(value.values()), inner)
+        if run is None:
+            body = sep.join(map("{}: {}".format, keys, [_encode(v, inner) for v in value.values()]))
+        else:
+            spec, arity, args = run
+            body = sep.join(["%s: " + spec] * len(value)) % tuple(
+                chain.from_iterable(zip(keys, *[iter(args)] * arity)))
+        return "{" + inner + body + margin + "}"
+    return json.dumps(value, allow_nan=False)
+
+
+def _run(items: Sequence, margin: str) -> tuple[str, int, Iterable] | None:
+    """How to write ``items`` at ``margin`` by one %-format, when they are
+    all str, all int, or equally long nonempty lists whose items form such a
+    run in turn: each item's spec, how many arguments it takes, and all the
+    arguments in order.  None for any other items."""
+    kinds = set(map(type, items))
+    if len(kinds) != 1:
+        return None
+    (kind,) = kinds
+    if kind is str:
+        return "%s", 1, map(_encode_str, items)
+    if kind is int:  # not bool, which "%d" would write as a number
+        return "%d", 1, items
+    if kind not in (list, tuple):
+        return None
+    widths = set(map(len, items))
+    if len(widths) != 1 or widths == {0}:
+        return None
+    (width,) = widths
+    inner = margin + "  "
+    cells = _run(list(chain.from_iterable(items)), inner)
+    if cells is None:
+        return None
+    spec, arity, args = cells
+    return "[" + inner + ("," + inner).join([spec] * width) + margin + "]", width * arity, args
+
+
+def _key_text(key) -> str:
+    """A dict key as ``json.dumps`` writes it: a str escaped, an int, float,
+    bool or None by its JSON text, quoted; any other key is refused."""
+    if isinstance(key, str):
+        return _encode_str(key)
+    if isinstance(key, (int, float)) or key is None:
+        return _encode_str(json.dumps(key, allow_nan=False))
+    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
 
 
 def report_document(report) -> dict:

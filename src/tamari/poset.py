@@ -19,6 +19,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain
 from operator import itemgetter
 from typing import Callable, Iterable, Sequence
 
@@ -67,17 +68,23 @@ def _selected(rows: list[int], idx: list[int]) -> list[int]:
     return [int("".join(pick(format(rows[i], f"0{n}b"))), 2) for i in idx]
 
 
+def _by_up_size(up: list[int]) -> list[int]:
+    """The indices in descending up-set size, index order among equals: a
+    linear extension of any partial order, since a strictly smaller element
+    has a strictly larger up-set."""
+    return sorted(range(len(up)), key=[-row.bit_count() for row in up].__getitem__)
+
+
 def _along_extension(up: list[int], *more: list[int]) -> tuple:
     """``(order, up, *more)`` with the rows re-indexed along ``order``.
 
     ``order`` is None when index order already is a linear extension of
     ``up`` (every row's lowest bit is its own) and the rows come back as
-    they are; otherwise it is descending up-set size with index tiebreak,
-    a linear extension of any partial order.
+    they are; otherwise it is :func:`_by_up_size`.
     """
     if all(row & -row == 1 << i for i, row in enumerate(up)):
         return None, up, *more
-    order = sorted(range(len(up)), key=lambda i: (-up[i].bit_count(), i))
+    order = _by_up_size(up)
     return order, *(_selected(rows, order) for rows in (up, *more))
 
 
@@ -379,11 +386,36 @@ class Poset:
     def leq(self, i: int, j: int) -> bool:
         return bool(self._up[i] >> j & 1)
 
-    def is_componentwise(self, vectors: Sequence[Sequence]) -> bool:
-        """Whether i <= j exactly when ``vectors[i]`` is at most ``vectors[j]``
-        in every coordinate; compares up-set rows, validating nothing again."""
-        vectors = list(vectors)
-        return len(vectors) == self.n and _componentwise_rows(vectors) == self._up
+    def is_closure_of(self, pairs: Sequence) -> bool:
+        """Whether this order is the reflexive-transitive closure of
+        ``pairs``, (lower, upper) element indices as lists or tuples.
+
+        It is exactly when every pair with distinct ends is a strict
+        relation (the closure lies in the order) and every cover is among
+        the pairs (the order lies in the closure).  Anything but int indices
+        in range is False, so :meth:`from_covers` can name what is wrong.
+        """
+        if not set(map(type, pairs)) <= {list, tuple} or set(map(len, pairs)) - {2}:
+            return False
+        # typed before the set, where (0.0, 1) and (True, 1) would pass as (0, 1) and (1, 1)
+        ends = list(chain.from_iterable(pairs))
+        if set(map(type, ends)) - {int} or ends and not 0 <= min(ends) <= max(ends) < self.n:
+            return False
+        got = set(map(tuple, pairs))
+        up = self._up
+        return got.issuperset(self._cover_pairs) and all(
+            u == v or up[u] >> v & 1 for u, v in got.difference(self._cover_pairs)
+        )
+
+    def relabeled(self, labels: Sequence) -> "Poset":
+        """The same order over new labels, one per element; the rows and
+        covers are shared, since they are never mutated."""
+        labels = list(labels)
+        if len(labels) != self.n:
+            raise PosetError(f"{len(labels)} labels for {self.n} elements")
+        p = Poset.__new__(Poset)
+        p.labels, p._up, p._cover_pairs = labels, self._up, self._cover_pairs
+        return p
 
     @cached_property
     def leq_matrix(self) -> np.ndarray:
@@ -427,7 +459,7 @@ class Poset:
         covers in descending up-set size, a linear extension."""
         _, downs = self._cover_lists
         down = [1 << v for v in range(self.n)]
-        for v in sorted(range(self.n), key=lambda i: -self._up[i].bit_count()):
+        for v in _by_up_size(self._up):
             row = down[v]
             for u in downs[v]:
                 row |= down[u]
@@ -477,8 +509,12 @@ class Poset:
 
     @cached_property
     def _level_arrays(self) -> tuple[list[int], list[int]]:
+        """Per element, the cover steps of a longest chain below it and of
+        one above it, by longest paths along :func:`_by_up_size`; any linear
+        extension gives the same lengths, and this one reads only the up
+        rows, so no down row is built."""
         up_adj, down_adj = self._cover_lists
-        order = self.topological_order()
+        order = _by_up_size(self._up)
         low = [0] * self.n
         for u in order:
             du = low[u] + 1

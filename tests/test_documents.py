@@ -7,6 +7,7 @@ import pytest
 
 from tamari import Poset, PosetError, enumerate_type_b, format_vector, tamari_poset
 from tamari.io import _KINDS, document_to_poset, poset_document
+from tamari.theorems import shifted_level_map
 
 
 def _doc(**fields) -> dict:
@@ -15,11 +16,13 @@ def _doc(**fields) -> dict:
     return json.loads(json.dumps(doc))
 
 
-@pytest.mark.parametrize("pair", [[True, 1], [0, 1.0], ["0", "1"], [0]])
+@pytest.mark.parametrize("pair", [[True, 1], [0, 1.0], [0.0, 1], ["0", "1"], [0]])
 def test_cover_that_is_not_two_indices_is_rejected(pair):
-    with pytest.raises(PosetError) as err:
-        document_to_poset(_doc(covers=[pair]))
-    assert repr(pair) in str(err.value)
+    # a Tamari document's well-formed covers add nothing that makes it valid
+    for doc in (_doc(covers=[pair]), _t3b_doc(covers=_t3b_doc()["covers"] + [pair])):
+        with pytest.raises(PosetError) as err:
+            document_to_poset(doc)
+        assert str(err.value) == f"cover {pair!r} is not a pair of element indices"
 
 
 def test_numpy_integer_covers_are_accepted():
@@ -153,3 +156,50 @@ def test_tamari_document_names_its_family_without_an_explicit_n():
 def test_tamari_document_cover_list_may_repeat_implied_pairs():
     doc = _t3b_doc(covers=_t3b_covers_plus("(0,0,0)", "(inf,inf,inf)"))
     assert document_to_poset(doc).covers == tamari_poset("b", 3).covers
+
+
+@pytest.mark.parametrize("extra, message", [
+    ([0, 20], "cover (0,20) out of range for 20 elements"),
+    ([-1, 0], "cover (-1,0) out of range for 20 elements"),
+    ([1, 0], "relation is not antisymmetric: '(0,0,0)' <= '(0,0,1)' and back"),
+])
+def test_tamari_document_with_a_bad_cover_is_refused_as_a_generic_one(extra, message):
+    with pytest.raises(PosetError) as err:
+        document_to_poset(_t3b_doc(covers=_t3b_doc()["covers"] + [extra]))
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("covers", [
+    _t3b_covers_plus("(0,0,1)", "(0,1,inf)"),  # a redundant strict pair
+    _t3b_doc()["covers"][::-1],
+    _t3b_doc()["covers"] + [[4, 4]],  # a self-loop, dropped as from_covers drops it
+], ids=["redundant_pair", "shuffled", "self_loop"])
+def test_tamari_document_covers_need_only_generate_the_order(covers):
+    q = document_to_poset(_t3b_doc(covers=covers))
+    assert q.labels == _t3b_doc()["elements"]
+    assert q.covers == tamari_poset("b", 3).covers
+
+
+@pytest.mark.parametrize("kind", "ab")
+@pytest.mark.parametrize("n", range(1, 8))
+def test_tamari_document_reads_back_as_the_closure_of_its_covers(kind, n):
+    p = tamari_poset(kind, n)
+    levels = shifted_level_map(p) if n % 2 else None
+    doc = json.loads(json.dumps(poset_document(p, kind=f"tamari_{kind}", levels=levels)))
+    q = document_to_poset(doc)
+    closure = Poset.from_covers(doc["elements"], doc["covers"])
+    assert q.labels == closure.labels == doc["elements"]
+    assert q.covers == closure.covers
+    assert (q.leq_matrix == closure.leq_matrix).all()
+
+
+def test_valid_tamari_document_reads_back_without_a_closure(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a valid Tamari document was closed over its covers")
+
+    levels = shifted_level_map(tamari_poset("b", 3)).levels
+    doc = _t3b_doc(levels={str(i): lv for i, lv in enumerate(levels)})
+    monkeypatch.setattr(Poset, "from_covers", classmethod(refuse))
+    q = document_to_poset(doc)
+    assert q.labels == doc["elements"]
+    assert q.covers == tamari_poset("b", 3).covers

@@ -9,6 +9,7 @@ from tamari import (
     INF,
     brute_force_type_a,
     brute_force_type_b,
+    element_listing,
     element_texts,
     entry_sum,
     enumerate_type_a,
@@ -139,8 +140,10 @@ def test_enumeration_is_sorted():
 
 @pytest.mark.parametrize("n", range(1, 11))
 def test_element_texts_are_the_formatted_vectors(n):
-    assert element_texts("a", n) == [format_vector(v) + "\n" for v in enumerate_type_a(n)]
-    assert element_texts("b", n) == [format_vector(v) + "\n" for v in enumerate_type_b(n)]
+    for kind, enumerate_family in (("a", enumerate_type_a), ("b", enumerate_type_b)):
+        texts = [format_vector(v) + "\n" for v in enumerate_family(n)]
+        assert element_texts(kind, n) == texts
+        assert element_listing(kind, n) == "".join(texts)
 
 
 def test_element_texts_rejects_bad_kind_and_n():

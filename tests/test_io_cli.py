@@ -8,7 +8,7 @@ import tracemalloc
 import pytest
 
 import tamari.cli
-from tamari import Poset, tamari_poset
+from tamari import Poset, element_listing, tamari_poset
 from tamari.io import (
     document_to_poset,
     dumps_document,
@@ -17,7 +17,7 @@ from tamari.io import (
     poset_document,
     poset_to_dot,
 )
-from tamari.theorems import verify_level_sums
+from tamari.theorems import shifted_level_map, verify_level_sums
 
 
 def run_cli(*args: str) -> subprocess.CompletedProcess:
@@ -48,6 +48,50 @@ def test_document_round_trip():
     q = document_to_poset(doc2)
     assert q.labels == doc["elements"]
     assert (q.leq_matrix == p.leq_matrix).all()
+
+
+def _stdlib_text(doc) -> str:
+    return json.dumps(doc, indent=2, allow_nan=False) + "\n"
+
+
+@pytest.mark.parametrize("kind", "ab")
+@pytest.mark.parametrize("n", range(1, 8))
+def test_poset_document_text_is_the_stdlib_encoding(kind, n):
+    p = tamari_poset(kind, n)
+    for levels in (None, p.level_map("lowest"), shifted_level_map(p)):
+        doc = poset_document(p, kind=f"tamari_{kind}", n=n, levels=levels)
+        assert dumps_document(doc) == _stdlib_text(doc)
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_elements_document_text_is_the_stdlib_encoding(n):
+    for kind in "ab":
+        doc = elements_document(element_listing(kind, n).splitlines(), kind=f"tamari_{kind}", n=n)
+        assert dumps_document(doc) == _stdlib_text(doc)
+
+
+@pytest.mark.parametrize("doc", [
+    [], {}, {"a": [], "b": {}}, [[], {}], [[[]]],
+    [[1, 2], [3, 4]], [[1, 2], [3]], [[1, 2], (3, 4)], [[[1, 2], [3, 4]], [[5, 6], [7, 8]]],
+    {"covers": [[0, 1], [1, 2]], "rows": [["a", "b"], ["c", "d"]]}, {"k": (1, (2, 3))},
+    {"a": [1, 2], "b": [3, 4]}, {"x": [["a"], ["b"]], "y": [["c"], ["d"]]}, [{}, {"a": 1}],
+    [True, None, False], [1, True, 0, False], [[1, True]], [1, 2**70], [0.5, -1.5],
+    {1: "x", True: "t", None: [], 2.5: {}}, {"a": 1, "b": "1", "c": [1, "1"]},
+    ['q"uote', "back\\slash", "ctl\x00\x1f\n\t", "caf\xe9 \u2028 \U0001f600", "%s %d %%"],
+    {'"': 1, "\\": "\\", "\x7f": ["%s"]},
+], ids=lambda doc: repr(doc)[:40])
+def test_edge_document_text_is_the_stdlib_encoding(doc):
+    assert dumps_document(doc) == _stdlib_text(doc)
+
+
+@pytest.mark.parametrize("doc", [
+    {"a": float("nan")}, [[1.0, float("nan")]], {"levels": {"0": float("inf")}}, {float("nan"): 1},
+])
+def test_document_writer_refuses_what_json_refuses(doc):
+    with pytest.raises(ValueError):
+        _stdlib_text(doc)
+    with pytest.raises(ValueError):
+        dumps_document(doc)
 
 
 def test_document_without_covers_cannot_rebuild():
@@ -283,7 +327,7 @@ def test_cli_lambda_checks_k_before_building_the_poset(monkeypatch, capsys):
     ("verify", "--claim", "all", "--n", "3..2"),
 ])
 def test_cli_accepts_only_ascii_digits_as_n(monkeypatch, capsys, args):
-    for name in ("element_texts", "tamari_poset", "verify_claims"):
+    for name in ("element_listing", "tamari_poset", "verify_claims"):
         monkeypatch.setattr(tamari.cli, name, _refuse)
     with pytest.raises(SystemExit) as exit_:
         tamari.cli.main(list(args))
@@ -313,7 +357,13 @@ def test_cli_accepts_only_ascii_digits_as_k(monkeypatch, capsys, k):
     # more digits than int() converts is not a value either
     (("lambda", "--type", "b", "--n", "2", "--k", "1" * 5000), f"bad k value '{'1' * 5000}'"),
     (("lambda", "--type", "b", "--n", "1" * 5000), f"bad n value '{'1' * 5000}'"),
-], ids=["k_zero", "k_zeros", "k_past_int_digits", "n_past_int_digits"])
+    # more chains than elements: refused from n alone
+    (("lambda", "--type", "b", "--n", "5", "--k", "1" + "0" * 20),
+     f"k=1{'0' * 20} exceeds the 252 elements of T_5^B"),
+    (("lambda", "--type", "b", "--n", "3", "--k", "21"), "k=21 exceeds the 20 elements of T_3^B"),
+    (("lambda", "--type", "a", "--n", "3", "--k", "6"), "k=6 exceeds the 5 elements of T_3"),
+], ids=["k_zero", "k_zeros", "k_past_int_digits", "n_past_int_digits", "k_21_digits",
+        "k_past_t3b", "k_past_t3"])
 def test_cli_k_shares_the_n_bounds_check(monkeypatch, capsys, args, message):
     monkeypatch.setattr(tamari.cli, "tamari_poset", _refuse)
     with pytest.raises(SystemExit) as exit_:
@@ -322,6 +372,13 @@ def test_cli_k_shares_the_n_bounds_check(monkeypatch, capsys, args, message):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.endswith(f"error: {message}\n")
+
+
+def test_cli_lambda_answers_k_equal_to_the_element_count(capsys):
+    assert tamari.cli.main(["lambda", "--type", "b", "--n", "3", "--k", "20"]) == 0
+    head, *chains = capsys.readouterr().out.splitlines()
+    assert head == "20"
+    assert len(chains) == 20
 
 
 @pytest.mark.parametrize("text, message", [

@@ -209,21 +209,22 @@ def test_from_vectors_rejects_mixed_lengths():
         Poset.from_vectors([(0, 1), (0, 1, 2)])
 
 
-def test_is_componentwise_compares_rows_with_the_vectors():
+def test_is_closure_of_needs_strict_pairs_that_include_the_covers():
     rng = random.Random(78)
-    symbols = (0, 1, 2, INF)
     for _ in range(40):
-        width = rng.randint(1, 3)
-        draws = [tuple(rng.choice(symbols) for _ in range(width)) for _ in range(rng.randint(1, 30))]
-        vectors = list(dict.fromkeys(draws))
-        p = Poset.from_predicate(vectors, leq_componentwise)
-        assert p.is_componentwise(vectors)
-        assert not p.is_componentwise(vectors[:-1])
-        for u, v in p.covers[:3]:  # a strict pair swapped no longer holds
-            swapped = list(vectors)
-            swapped[u], swapped[v] = swapped[v], swapped[u]
-            assert not p.is_componentwise(swapped)
-
+        p = random_poset(rng, rng.randint(1, 12))
+        covers = [list(pair) for pair in p.covers]
+        assert p.is_closure_of(covers)
+        assert p.is_closure_of(covers[::-1] + [[0, 0]] + [list(pair) for pair in p.covers[:2]])
+        strict = [(u, v) for u in range(p.n) for v in range(p.n) if u != v and p.leq(u, v)]
+        assert p.is_closure_of(covers + [list(pair) for pair in strict])
+        for i in range(min(3, len(covers))):  # a missing cover
+            assert not p.is_closure_of(covers[:i] + covers[i + 1 :])
+        loose = [(u, v) for u in range(p.n) for v in range(p.n) if u != v and not p.leq(u, v)]
+        for u, v in loose[:3]:  # a pair outside the order
+            assert not p.is_closure_of(covers + [[u, v]])
+        for bad in ([True, 0], [0.0, 0], [0, p.n], [-1, 0], [0], [0, 0, 0], "00", 0):
+            assert not p.is_closure_of(covers + [bad])
 
 
 def _arrays(p: Poset) -> list[str]:

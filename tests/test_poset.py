@@ -14,6 +14,7 @@ from tamari import (
     leq_componentwise,
     tamari_poset,
 )
+from tamari.theorems import shifted_level_map
 
 
 def test_singleton_has_no_covers():
@@ -129,6 +130,47 @@ def test_lowest_level_recursion():
                 assert low[v] == 0
             else:
                 assert low[v] == 1 + max(low[int(u)] for u in parents)
+
+
+def _longest_path_levels(p: Poset) -> dict[str, tuple[int, ...]]:
+    """All three level maps from longest chains over the strict relation,
+    walked in ascending order of the number of elements below."""
+    strict = p.strict_matrix
+    order = sorted(range(p.n), key=lambda v: int(strict[:, v].sum()))
+    below, above = [0] * p.n, [0] * p.n
+    for v in order:
+        below[v] = max((below[u] + 1 for u in np.nonzero(strict[:, v])[0]), default=0)
+    for v in reversed(order):
+        above[v] = max((above[w] + 1 for w in np.nonzero(strict[v])[0]), default=0)
+    top = max(below)
+    return {
+        "lowest": tuple(below),
+        "highest": tuple(top - a for a in above),
+        "shifted": tuple(b if b + a == top else b + 1 for b, a in zip(below, above)),
+    }
+
+
+def test_level_maps_are_longest_paths():
+    rng = random.Random(16)
+    posets = []
+    for _ in range(30):
+        p = random_poset(rng, rng.randint(1, 12))
+        shuffled = list(range(p.n))
+        rng.shuffle(shuffled)
+        # relabelled so that index order is no linear extension
+        posets += [p, p.dual(), Poset.from_covers(shuffled, [(shuffled.index(u), shuffled.index(v))
+                                                             for u, v in p.covers])]
+    posets += [tamari_poset(kind, n) for kind in "ab" for n in range(1, 7)]
+    for p in posets:
+        for mode, levels in _longest_path_levels(p).items():
+            assert p.level_map(mode).levels == levels
+
+
+def test_level_maps_build_no_down_rows():
+    p = tamari_poset.__wrapped__("b", 5)  # a fresh poset, not the cached one
+    shifted_level_map(p)
+    p.level_map("highest")
+    assert "_down" not in vars(p)
 
 
 # -- leveled subposet ----------------------------------------------------------------
