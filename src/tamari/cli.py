@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import re
 import sys
@@ -33,7 +32,7 @@ from .io import (
     poset_document,
     poset_to_dot,
 )
-from .lattices import POSET_MAX_N, tamari_poset
+from .lattices import POSET_MAX_N, family_name, family_size, tamari_poset
 from .theorems import CLAIMS, REFUTED, shifted_level_map, verify_claims
 
 DEFAULT_CAP = 7
@@ -133,20 +132,13 @@ def _cmd_enumerate(args, parser) -> int:
     return 0
 
 
-def _family_size(kind: str, n: int) -> int:
-    """|T_n^B| = C(2n, n) and |T_n| = Catalan(n), from n alone."""
-    central = math.comb(2 * n, n)
-    return central if kind == "b" else central // (n + 1)
-
-
 def _cmd_lambda(args, parser) -> int:
     (n,) = _parse_int(parser, "n", args.n)
     if args.k is not None:
         (k,) = _parse_int(parser, "k", args.k, cap=None)
-        size = _family_size(args.type, n)
+        size = family_size(args.type, n)
         if k > size:  # more chains than elements would only print empty ones
-            parser.error(f"k={k} exceeds the {size} elements of "
-                         f"T_{n}{'^B' if args.type == 'b' else ''}")
+            parser.error(f"k={k} exceeds the {size} elements of {family_name(args.type, n)}")
     p = tamari_poset(args.type, n)
     if args.k is None:
         print(json.dumps(list(gk_partition(p).parts)))

@@ -12,7 +12,8 @@ import json
 from itertools import chain
 from typing import Iterable, Mapping, Sequence
 
-from .elements import MAX_N, element_listing, enumerate_type_a, enumerate_type_b, format_vector
+from .elements import element_listing, format_vector
+from .lattices import POSET_MAX_N, family_name, family_size, tamari_poset
 from .poset import LevelAssignment, Poset
 
 FORMAT_VERSION = 1
@@ -22,11 +23,8 @@ _KINDS = ("tamari_a", "tamari_b", "generic")
 # json's own string escape, in C where the interpreter has it
 _encode_str = json.encoder.encode_basestring_ascii
 
-# kind -> (type letter, enumerator, name of T_n in messages) for the Tamari families
-_FAMILIES = {
-    "tamari_a": ("a", enumerate_type_a, "T_{}"),
-    "tamari_b": ("b", enumerate_type_b, "T_{}^B"),
-}
+# kind -> type letter of the Tamari families
+_FAMILIES = {"tamari_a": "a", "tamari_b": "b"}
 
 
 def _label_text(label) -> str:
@@ -38,13 +36,13 @@ def _label_text(label) -> str:
 def elements_document(labels, kind: str = "generic", n: int | None = None) -> dict:
     """A poset document carrying only the element list (no covers).
 
-    A Tamari kind names its family by ``n``, which defaults to the length of
-    the first element vector.
+    A Tamari kind names its family by ``n``, which defaults to the number of
+    entries of the first element, a vector or its text.
     """
     if kind not in _KINDS:
         raise ValueError(f"kind must be one of {_KINDS}, got {kind!r}")
     if n is None and kind in _FAMILIES and labels:
-        n = len(labels[0])
+        n = _label_text(labels[0]).count(",") + 1
     doc: dict = {"format_version": FORMAT_VERSION, "kind": kind}
     if n is not None:
         doc["n"] = n
@@ -78,9 +76,11 @@ def document_to_poset(doc: Mapping) -> Poset:
     as is a field of the wrong JSON type or value (a ``format_version``
     other than the int 1, a ``kind`` not in ``_KINDS``, an ``n`` that is
     present but not a positive int), with a ValueError naming it.  A Tamari
-    document must give ``n``, list exactly the texts of its family's
-    elements in enumeration order, and have exactly their componentwise
-    covers.
+    document must give ``n`` within the poset cap, list exactly the texts of
+    its family's elements in enumeration order, and carry covers whose
+    closure is its family's order.  Its covers are compared with that order
+    (:meth:`Poset.closure_mismatch`), never closed; a generic document's are
+    closed by :meth:`Poset.from_covers`.
     """
     if not isinstance(doc, Mapping):
         raise ValueError(f"document is not a JSON object but {type(doc).__name__}")
@@ -105,12 +105,16 @@ def document_to_poset(doc: Mapping) -> Poset:
             raise ValueError(f"duplicate element label {lab!r}")
         seen.add(lab)
     family = _family_poset(kind, doc.get("n"), labels)
-    if family is not None and family[1].is_closure_of(doc["covers"]):
-        p = family[1].relabeled(labels)
-    else:
+    if family is None:
         p = Poset.from_covers(labels, doc["covers"])
-        if family is not None:
-            _check_family_covers(p, *family)
+    else:
+        name, order = family
+        stray, missing = order.closure_mismatch(doc["covers"])
+        if stray or missing:
+            u, v = stray or missing
+            wrong = "has {} < {}, not a cover of {}" if stray else "misses the cover {} < {} of {}"
+            raise ValueError("document field 'covers' " + wrong.format(labels[u], labels[v], name))
+        p = order.relabeled(labels)
     levels = doc.get("levels")
     if levels is not None:
         if not isinstance(levels, Mapping):
@@ -135,46 +139,30 @@ def document_to_poset(doc: Mapping) -> Poset:
 
 
 def _family_poset(kind: str, n: int | None, labels: list[str]) -> tuple[str, Poset] | None:
-    """The name and componentwise poset of a Tamari document's family, after
-    checking that ``labels`` are exactly its element texts; None for a
-    generic document."""
+    """The name and order (:func:`tamari_poset`) of a Tamari document's
+    family, after checking ``n`` against the poset cap and the element count,
+    so a document too large costs nothing, then that ``labels`` are exactly
+    the family's element texts; None for a generic document."""
     if kind not in _FAMILIES:
         return None
-    letter, enumerate_family, name = _FAMILIES[kind]
+    letter = _FAMILIES[kind]
     if n is None:
         raise ValueError(f"document field 'n' is missing; kind {kind!r} needs it")
-    if n > MAX_N:
-        raise ValueError(f"document field 'n' is {n}, beyond the enumeration cap {MAX_N}")
-    texts = element_listing(letter, n).splitlines()
-    family = name.format(n)
-    if len(labels) != len(texts):
+    if n > POSET_MAX_N:
+        raise ValueError(f"document field 'n' is {n}, beyond the poset cap {POSET_MAX_N}")
+    name, size = family_name(letter, n), family_size(letter, n)
+    if len(labels) != size:
         raise ValueError(
-            f"document field 'elements' has {len(labels)} entries, but {family} "
-            f"has {len(texts)} elements"
+            f"document field 'elements' has {len(labels)} entries, but {name} has {size} elements"
         )
+    texts = element_listing(letter, n).splitlines()
     if labels != texts:
         i = next(i for i, (lab, text) in enumerate(zip(labels, texts)) if lab != text)
         raise ValueError(
             f"document field 'elements' has {labels[i]!r} at index {i}, where "
-            f"{family} has {texts[i]!r}"
+            f"{name} has {texts[i]!r}"
         )
-    return family, Poset.from_vectors(enumerate_family(n))
-
-
-def _check_family_covers(p: Poset, family: str, order: Poset) -> None:
-    """Require a document's rebuilt order ``p`` to be its family's ``order``,
-    naming the first wrong cover, else the first missing one."""
-    got, want = set(p.covers), set(order.covers)
-    if got - want:
-        u, v = min(got - want)
-        raise ValueError(
-            f"document field 'covers' has {p.labels[u]} < {p.labels[v]}, not a cover of {family}"
-        )
-    if want - got:
-        u, v = min(want - got)
-        raise ValueError(
-            f"document field 'covers' misses the cover {p.labels[u]} < {p.labels[v]} of {family}"
-        )
+    return name, tamari_poset(letter, n)
 
 
 def dumps_document(doc: Mapping) -> str:
@@ -261,28 +249,17 @@ def report_document(report) -> dict:
     """ReportDocument mapping for a VerificationReport (fixed field names)."""
     doc: dict = {"claim": report.claim, "n": report.n, "status": report.status}
     if report.witness is not None:
-        doc["witness"] = _jsonable(report.witness)
+        doc["witness"] = report.witness
     if report.data is not None:
-        doc["data"] = _jsonable(report.data)
+        doc["data"] = report.data
     return doc
 
 
 def dumps_report(report) -> str:
+    """One JSON line; the witness and data hold only str, int, bool, None,
+    lists, tuples and dicts keyed by str or int, and an ``inf`` raises
+    ValueError."""
     return json.dumps(report_document(report), allow_nan=False) + "\n"
-
-
-def _jsonable(value):
-    if isinstance(value, dict):
-        return {str(k): _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    if isinstance(value, bool) or value is None:
-        return value
-    if isinstance(value, (int, str)):
-        return value
-    if isinstance(value, float):
-        raise ValueError(f"refusing to serialize a float {value!r}; format vectors first")
-    return str(value)
 
 
 def poset_to_dot(

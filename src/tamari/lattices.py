@@ -2,15 +2,29 @@
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 
 from .elements import enumerate_type_a, enumerate_type_b
 from .poset import Poset
 
-# One cap gates every poset command (lambda, verify, export), though it
-# tracks the cost of none but lambda's full chain partition (about half a
-# minute on T_8^B); verify runs no flow for n >= 4 and export never does.
+# One cap gates every poset command (lambda, verify, export) and the
+# read-back of Tamari documents, though it tracks the cost of none but
+# lambda's full chain partition (22 s on T_8^B); verify runs no flow for
+# n >= 4, export never does, and a document is refused above it before any
+# element is listed.
 POSET_MAX_N = 7
+
+
+def family_name(kind: str, n: int) -> str:
+    """``T_n^B`` for kind "b", ``T_n`` for kind "a", as messages name them."""
+    return f"T_{n}^B" if kind == "b" else f"T_{n}"
+
+
+def family_size(kind: str, n: int) -> int:
+    """|T_n^B| = C(2n, n) and |T_n| = Catalan(n), from n alone."""
+    central = math.comb(2 * n, n)
+    return central if kind == "b" else central // (n + 1)
 
 
 @lru_cache(maxsize=16)

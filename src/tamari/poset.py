@@ -139,6 +139,32 @@ def _cover_certificate(up: list[int]) -> list[tuple[int, int]] | None:
     return pairs
 
 
+def _index_pairs(pairs: Iterable, n: int) -> list[tuple[int, int]]:
+    """``pairs`` as (int, int) tuples of indices in ``range(n)``, else a
+    PosetError naming the first that is not two integer indices or not in
+    range.  Lists and tuples of two ints, as JSON gives them, are checked by
+    C-level passes; only other pairs, or a bad one, take the loop."""
+    pairs = list(pairs)
+    if set(map(type, pairs)) <= {list, tuple} and set(map(len, pairs)) <= {2}:
+        # typed before any set, where (0.0, 1) and (True, 1) would pass as (0, 1) and (1, 1)
+        ends = list(chain.from_iterable(pairs))
+        if set(map(type, ends)) <= {int} and (not ends or 0 <= min(ends) and max(ends) < n):
+            return list(map(tuple, pairs))
+    checked = []
+    for pair in pairs:
+        if not (
+            isinstance(pair, (tuple, list, np.ndarray))
+            and len(pair) == 2
+            and all(isinstance(x, (int, np.integer)) and not isinstance(x, bool) for x in pair)
+        ):
+            raise PosetError(f"cover {pair!r} is not a pair of element indices")
+        u, v = pair
+        if not (0 <= u < n and 0 <= v < n):
+            raise PosetError(f"cover ({u},{v}) out of range for {n} elements")
+        checked.append((int(u), int(v)))
+    return checked
+
+
 def _antisymmetry_error(labels: list, i: int, j: int) -> PosetError:
     return PosetError(
         f"relation is not antisymmetric: {labels[i]!r} <= {labels[j]!r} and back",
@@ -347,18 +373,9 @@ class Poset:
         n = len(labels)
         succ: list[list[int]] = [[] for _ in range(n)]
         indegree = [0] * n
-        for pair in covers:
-            if not (
-                isinstance(pair, (tuple, list, np.ndarray))
-                and len(pair) == 2
-                and all(isinstance(x, (int, np.integer)) and not isinstance(x, bool) for x in pair)
-            ):
-                raise PosetError(f"cover {pair!r} is not a pair of element indices")
-            u, v = pair
-            if not (0 <= u < n and 0 <= v < n):
-                raise PosetError(f"cover ({u},{v}) out of range for {n} elements")
+        for u, v in _index_pairs(covers, n):
             if u != v:
-                succ[u].append(int(v))
+                succ[u].append(v)
                 indegree[v] += 1
         # Kahn's sort; what it never reaches lies on or above a cycle
         order = [u for u in range(n) if indegree[u] == 0]
@@ -386,26 +403,20 @@ class Poset:
     def leq(self, i: int, j: int) -> bool:
         return bool(self._up[i] >> j & 1)
 
-    def is_closure_of(self, pairs: Sequence) -> bool:
-        """Whether this order is the reflexive-transitive closure of
-        ``pairs``, (lower, upper) element indices as lists or tuples.
-
-        It is exactly when every pair with distinct ends is a strict
-        relation (the closure lies in the order) and every cover is among
-        the pairs (the order lies in the closure).  Anything but int indices
-        in range is False, so :meth:`from_covers` can name what is wrong.
-        """
-        if not set(map(type, pairs)) <= {list, tuple} or set(map(len, pairs)) - {2}:
-            return False
-        # typed before the set, where (0.0, 1) and (True, 1) would pass as (0, 1) and (1, 1)
-        ends = list(chain.from_iterable(pairs))
-        if set(map(type, ends)) - {int} or ends and not 0 <= min(ends) <= max(ends) < self.n:
-            return False
-        got = set(map(tuple, pairs))
+    def closure_mismatch(self, pairs: Iterable) -> tuple[tuple | None, tuple | None]:
+        """The least of ``pairs``, (lower, upper) element indices, with
+        distinct ends that is not a strict relation, and the least cover
+        missing from them: ``(None, None)`` exactly when the reflexive-
+        transitive closure of the pairs is this order, which is decided
+        without closing them.  A pair that is not two indices in range
+        raises what :meth:`from_covers` raises for it."""
+        got = set(_index_pairs(pairs, self.n))
         up = self._up
-        return got.issuperset(self._cover_pairs) and all(
-            u == v or up[u] >> v & 1 for u, v in got.difference(self._cover_pairs)
+        stray = min(
+            ((u, v) for u, v in got.difference(self._cover_pairs) if u != v and not up[u] >> v & 1),
+            default=None,
         )
+        return stray, next((pair for pair in self._cover_pairs if pair not in got), None)
 
     def relabeled(self, labels: Sequence) -> "Poset":
         """The same order over new labels, one per element; the rows and

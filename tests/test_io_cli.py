@@ -128,6 +128,18 @@ def test_report_document_shape():
     assert "witness" not in doc
 
 
+@pytest.mark.parametrize("command, digest", [
+    ("verify --claim all --n 2..7",
+     "60372a5e276539eeeeff4b3575be960b2223583f4e7273e4b1e2b4c0e2709482"),
+    ("verify --claim thm1 --n 4..7",
+     "3241ae18d2fa774db05f0428b566d671597ac388c64b55cf671d5a8cd62746be"),
+])
+def test_report_bytes_are_pinned(capsys, command, digest):
+    assert tamari.cli.main(command.split()) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 # -- DOT -----------------------------------------------------------------------------
 
 

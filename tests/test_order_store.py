@@ -209,22 +209,54 @@ def test_from_vectors_rejects_mixed_lengths():
         Poset.from_vectors([(0, 1), (0, 1, 2)])
 
 
-def test_is_closure_of_needs_strict_pairs_that_include_the_covers():
+def _closes_to(p: Poset, pairs: list) -> bool:
+    """Whether ``from_covers`` rebuilds exactly ``p`` from the pairs."""
+    try:
+        return Poset.from_covers(p.labels, pairs).covers == p.covers
+    except PosetError:  # a cycle
+        return False
+
+
+def test_closure_mismatch_needs_strict_pairs_that_include_the_covers():
     rng = random.Random(78)
-    for _ in range(40):
-        p = random_poset(rng, rng.randint(1, 12))
+    samples = [random_poset(rng, rng.randint(1, 12)) for _ in range(40)]
+    for p in samples + [tamari_poset(kind, n) for kind in "ab" for n in range(1, 7)]:
         covers = [list(pair) for pair in p.covers]
-        assert p.is_closure_of(covers)
-        assert p.is_closure_of(covers[::-1] + [[0, 0]] + [list(pair) for pair in p.covers[:2]])
-        strict = [(u, v) for u in range(p.n) for v in range(p.n) if u != v and p.leq(u, v)]
-        assert p.is_closure_of(covers + [list(pair) for pair in strict])
-        for i in range(min(3, len(covers))):  # a missing cover
-            assert not p.is_closure_of(covers[:i] + covers[i + 1 :])
-        loose = [(u, v) for u in range(p.n) for v in range(p.n) if u != v and not p.leq(u, v)]
-        for u, v in loose[:3]:  # a pair outside the order
-            assert not p.is_closure_of(covers + [[u, v]])
-        for bad in ([True, 0], [0.0, 0], [0, p.n], [-1, 0], [0], [0, 0, 0], "00", 0):
-            assert not p.is_closure_of(covers + [bad])
+        strict = [[u, v] for u in range(p.n) for v in range(p.n) if u != v and p.leq(u, v)]
+        loose = [[u, v] for u in range(p.n) for v in range(p.n) if u != v and not p.leq(u, v)]
+        shuffled = rng.sample(covers, len(covers))
+        redundant = covers + rng.sample(strict, min(5, len(strict)))
+        passing = [covers, shuffled + [[0, 0]], redundant[::-1]]
+        for pairs in passing:  # redundant pairs, shuffled pairs and self-loops
+            assert p.closure_mismatch(pairs) == (None, None)
+        failing = []
+        for i in rng.sample(range(len(covers)), min(3, len(covers))):  # a dropped cover
+            dropped = covers[:i] + covers[i + 1 :]
+            assert p.closure_mismatch(dropped) == (None, p.covers[i])
+            failing.append(dropped)
+        for u, v in rng.sample(loose, min(3, len(loose))):  # a pair outside the order
+            assert p.closure_mismatch(redundant + [[u, v]]) == ((u, v), None)
+            failing.append(covers + [[u, v]])
+        for pairs in passing + failing:
+            assert (p.closure_mismatch(pairs) == (None, None)) == _closes_to(p, pairs)
+
+
+def test_closure_mismatch_names_the_least_of_each():
+    p = tamari_poset("b", 3)
+    loose = [(u, v) for u in range(p.n) for v in range(p.n) if u != v and not p.leq(u, v)]
+    pairs = [list(pair) for pair in p.covers[2:]] + [list(pair) for pair in loose[-3:]]
+    assert p.closure_mismatch(pairs) == (loose[-3], p.covers[0])
+
+
+@pytest.mark.parametrize("bad", [[True, 0], [0.0, 0], [0, 20], [-1, 0], [0], [0, 0, 0], "00", 0])
+def test_closure_mismatch_refuses_a_bad_pair_as_from_covers_does(bad):
+    p = tamari_poset("b", 3)
+    pairs = [list(pair) for pair in p.covers] + [bad]
+    with pytest.raises(PosetError) as want:
+        Poset.from_covers(p.labels, pairs)
+    with pytest.raises(PosetError) as got:
+        p.closure_mismatch(pairs)
+    assert str(got.value) == str(want.value)
 
 
 def _arrays(p: Poset) -> list[str]:
