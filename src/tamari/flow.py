@@ -7,16 +7,21 @@ reduction needs: one exact single-pass relaxation in topological node order
 establishes initial potentials.
 
 Each phase then runs one Dijkstra on reduced costs (nonnegative by the usual
-invariant), which advances the potentials so that every cheapest s->t path
-uses only arcs of zero reduced cost, followed by a maximum flow on that
-zero-reduced-cost residual subgraph (Ahuja, Magnanti & Orlin, *Network
-Flows*, 1993, ch. 9).  Reduced distances are small nonnegative integers, so
-the Dijkstra pops nodes from Dial's bucket queue (*CACM* 12, 1969), one list
-per distance; the maximum flow is found by repeated augmenting-path searches
-over the arcs whose reduced cost is zero, tested as they are scanned.  Every
-unit sent in one phase has the same cost, and after the phase the cheapest
-s->t cost has strictly risen.  All costs and capacities are integers, so the
-computed flows are exactly integral.
+invariant), rooted at the sink and run over reverse residual arcs, which
+lowers the potentials so that every cheapest s->t path uses only arcs of
+zero reduced cost, followed by a maximum flow on that zero-reduced-cost
+residual subgraph (Ahuja, Magnanti & Orlin, *Network Flows*, 1993, ch. 9).
+The potentials are thus distances *to* the sink, and no arc into a node at
+least as far from t as s turns tight.  Distances *from* the source
+would make every node that is nearer to s than t is reachable from s over
+zero-reduced-cost arcs, and each augmenting-path search would wander
+through that region's dead ends.  Reduced distances are small nonnegative
+integers, so the Dijkstra pops nodes from Dial's bucket queue (*CACM* 12,
+1969), one list per distance; the maximum flow is found by repeated
+augmenting-path searches over the arcs whose reduced cost is zero, tested
+as they are scanned.  Every unit sent in one phase has the same cost, and
+after the phase the cheapest s->t cost has strictly risen.  All costs and
+capacities are integers, so the computed flows are exactly integral.
 """
 
 from __future__ import annotations
@@ -95,42 +100,48 @@ class MinCostFlow:
         self.potential = dist
 
     def cheapest_path(self, s: int, t: int) -> int | None:
-        """Dijkstra on reduced costs; returns the cheapest s->t cost, or None.
+        """Dijkstra on reduced costs, rooted at ``t``; returns the cheapest
+        s->t cost, or None.
 
-        Nodes wait in one bucket per reduced distance and are settled bucket
-        by bucket, stopping at the bucket that holds ``t``.  The potentials
-        are advanced by the computed distances (capped at the distance of
-        ``t``), which keeps every reduced cost nonnegative and makes every
-        cheapest s->t path consist of zero-reduced-cost arcs, ready for
-        :meth:`push_phase`.
+        The search runs backwards: scanning a node x relaxes every residual
+        arc into x, each the partner ``b ^ 1`` of an arc ``b`` in x's own
+        list.  Nodes wait in one bucket per reduced distance to ``t`` and are
+        settled bucket by bucket, stopping at the bucket that holds ``s``.
+        The potentials are lowered by the computed distances (capped at the
+        distance of ``s``), which keeps every reduced cost nonnegative and
+        makes every cheapest s->t path consist of zero-reduced-cost arcs,
+        ready for :meth:`push_phase`.  A node at least as far from ``t`` as
+        ``s`` is lowered exactly as much as ``s``, so no arc into it turns
+        tight and the searches from ``s`` are not led into it.
         """
         pi = self.potential
         if pi is None:
             raise RuntimeError("init_potentials must run before augmenting")
         adj, to, cap, cost = self.adj, self.to, self.cap, self.cost
         dist = [_UNREACHED] * self.n
-        dist[s] = 0
-        buckets: list[list[int]] = [[s]]
+        dist[t] = 0
+        buckets: list[list[int]] = [[t]]
         for d, bucket in enumerate(buckets):  # both lists grow while scanned
-            if dist[t] <= d:
-                break  # every node still queued would be capped at dist[t] anyway
-            for u in bucket:
-                if dist[u] != d:
+            if dist[s] <= d:
+                break  # every node still queued would be capped at dist[s] anyway
+            for x in bucket:
+                if dist[x] != d:
                     continue  # queued again at a smaller distance, already settled
-                base = d + pi[u]
-                for a in adj[u]:
+                base = d - pi[x]
+                for b in adj[x]:
+                    a = b ^ 1  # the arc to[b] -> x
                     if cap[a] > 0:
-                        v = to[a]
-                        nd = base + cost[a] - pi[v]
+                        v = to[b]
+                        nd = base + cost[a] + pi[v]
                         if nd < dist[v]:
                             dist[v] = nd
                             if nd >= len(buckets):
                                 buckets.extend([] for _ in range(nd + 1 - len(buckets)))
                             buckets[nd].append(v)
-        dt = dist[t]
-        if dt == _UNREACHED:
+        ds = dist[s]
+        if ds == _UNREACHED:
             return None
-        self.potential = pi = [p + (x if x < dt else dt) for p, x in zip(pi, dist)]
+        self.potential = pi = [p - (x if x < ds else ds) for p, x in zip(pi, dist)]
         return pi[t] - pi[s]
 
     def push_phase(self, s: int, t: int, limit: int) -> int:

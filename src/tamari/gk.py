@@ -118,7 +118,9 @@ class _ChainNetwork:
         more either.  The default keeps zero-profit units out of the flow,
         which guarantees every decomposed path is nonempty.
         """
-        self.start_potential = list(self.net.potential)  # the dual it advances
+        # the dual this phase lowers; no copy is needed, as cheapest_path
+        # and init_potentials always bind a new list and never write into one
+        self.start_potential = self.net.potential
         cost = self.net.cheapest_path(self.S, self.T)
         if cost is None:
             raise RuntimeError("flow network unexpectedly disconnected")
@@ -207,9 +209,11 @@ def max_antichain_union(p: Poset, k: int) -> AntichainFamily:
     """A maximum-size union of k disjoint antichains, read off the chain flow.
 
     The chain flow runs its phases while the marginal gain exceeds k.  The
-    potentials of the last Dijkstra, capped so that the source-sink gain is
-    exactly k, stay a valid dual of the final flow, and their level sets are
-    an optimal antichain family (A. Frank, *JCT B* 29, 1980): an element
+    last Dijkstra lowers the potentials from a dual of the final flow whose
+    source-sink gain exceeds k to one whose gain is at most k; capping each
+    node's lowering at the excess over k of the starting gain keeps a dual
+    of the final flow whose gain is exactly k, and its level sets are an
+    optimal antichain family (A. Frank, *JCT B* 29, 1980): an element
     belongs to the union iff its in-node sits at least one above its
     out-node, and members sharing the in-node potential form one antichain.
     For u < v the cover and bypass arcs force ``pi[v_in] <= pi[u_out]``,
@@ -225,12 +229,12 @@ def max_antichain_union(p: Poset, k: int) -> AntichainFamily:
     gains = network.run(p.n, floor=k)
     if sum(gains) == p.n:
         network.phase(1, floor=k)  # the final dual comes from a Dijkstra that sends nothing
-    # the starting potentials (gain above k) and the advanced ones (gain at
-    # most k) are both duals of the final flow; capping the advance in
+    # the starting potentials (gain above k) and the lowered ones (gain at
+    # most k) are both duals of the final flow; capping the lowering in
     # between keeps a dual whose gain is exactly k
     before = network.start_potential
     cap = max(0, before[network.S] - before[network.T] - k)
-    pi_k = [b + min(x - b, cap) for b, x in zip(before, network.net.potential)]
+    pi_k = [b - min(b - x, cap) for b, x in zip(before, network.net.potential)]
     groups: dict[int, list[int]] = {}
     for r, v in enumerate(network.order):
         if pi_k[2 + 2 * r] - pi_k[3 + 2 * r] >= 1:

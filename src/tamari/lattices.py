@@ -10,7 +10,7 @@ from .poset import Poset
 
 # One cap gates every poset command (lambda, verify, export) and the
 # read-back of Tamari documents, though it tracks the cost of none but
-# lambda's full chain partition (22 s on T_8^B); verify runs no flow for
+# lambda's full chain partition (8-11 s on T_8^B); verify runs no flow for
 # n >= 4, export never does, and a document is refused above it before any
 # element is listed.
 POSET_MAX_N = 7

@@ -30,6 +30,36 @@ def test_tamari_b_antichain_families(n):
         assert fam.total == total
 
 
+def _check_every_k(p: Poset) -> None:
+    """Families for k = 1 .. lambda_1, against the conjugate partition."""
+    conj = gk_partition(p).conjugate()
+    for k in range(1, len(conj) + 1):
+        fam = max_antichain_union(p, k)
+        check_antichain_family(p, fam)
+        assert len(fam.antichains) == k
+        assert fam.total == sum(conj[:k])
+
+
+@pytest.mark.parametrize("n", sorted(TAMARI_B_TOTALS))
+def test_tamari_b_antichain_families_at_every_k(n):
+    _check_every_k(tamari_poset("b", n))
+
+
+def test_antichain_families_at_every_k_on_random_posets():
+    rng = random.Random(2718)
+    for _ in range(30):
+        _check_every_k(random_poset(rng, rng.randint(5, 40), rng.choice((0.05, 0.1, 0.2, 0.35))))
+
+
+def test_antichain_families_when_every_gain_exceeds_k():
+    """Chains of 3 and 5 have parts (5, 3): for k < 3 every element is
+    collected while the gain still exceeds k, and the dual comes from one
+    more phase that sends nothing."""
+    p = Poset.from_covers(list(range(8)), [(0, 1), (1, 2), (3, 4), (4, 5), (5, 6), (6, 7)])
+    assert gk_partition(p).parts == (5, 3)
+    _check_every_k(p)
+
+
 def _dilworth_width(p: Poset) -> int:
     """n minus a maximum matching on the strict relation (Dilworth via Koenig)."""
     g = nx.Graph()

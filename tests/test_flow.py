@@ -111,6 +111,37 @@ def test_phase_reroutes_through_a_reverse_arc():
     assert net.push_phase(s, t, 5) == 0
 
 
+class _RecordedArcs(list):
+    """An adjacency list that records each iteration over it."""
+
+    def __init__(self, arcs):
+        super().__init__(arcs)
+        self.iterations = 0
+
+    def __iter__(self):
+        self.iterations += 1
+        return super().__iter__()
+
+
+def test_phase_searches_skip_a_dead_end_beside_the_source():
+    """Phase 1 sends s-a-d-t at cost -2.  In phase 2 d is nearer to s than t
+    is, but reaches t only back through s; sink-rooted potentials leave s->d
+    untight, so the second unit runs s-b-t without entering d or e."""
+    s, a, d, t, e, b = range(6)
+    net = MinCostFlow(6)
+    for u, v, cap, cost in ((s, d, 1, 1), (s, a, 1, 0), (a, d, 1, 0), (d, t, 1, -2),
+                            (d, e, 1, 0), (s, b, 1, 0), (b, t, 1, 0)):
+        net.add_arc(u, v, cap, cost)
+    net.init_potentials([s, a, b, d, e, t], s)
+    assert net.cheapest_path(s, t) == -2
+    assert net.push_phase(s, t, 5) == 1
+    assert net.cheapest_path(s, t) == 0
+    net.adj[e] = recorded = _RecordedArcs(net.adj[e])
+    assert net.push_phase(s, t, 5) == 1
+    assert recorded.iterations == 0
+    assert [net.flow_on(x) for x in range(0, len(net.to), 2)] == [0, 1, 1, 1, 0, 1, 1]
+
+
 def test_init_potentials_rejects_an_unreachable_node():
     net = MinCostFlow(3)
     net.add_arc(0, 1, 1, 0)
