@@ -2,7 +2,7 @@
 
 A :class:`Poset` stores its order as bitset up-set rows (Python ints; bit j
 of row i is set iff element i is below or equal to element j) together with
-its cover pairs (the Hasse diagram).  Every other view, down-set rows, levels
+its covers (the Hasse diagram).  Every other view, down-set rows, levels
 and the dense boolean matrices kept for tests and oracles, is derived from
 these two and cached; ``Poset.from_vectors`` builds the componentwise order
 of vectors straight into rows, and ``is_lattice`` reads them.  Construction
@@ -10,8 +10,10 @@ validates the order by a cover certificate: walking a linear extension from
 the top, each up-set must be the union of the up-sets of its covers, which
 are found along the way (Aho, Garey & Ullman, "The transitive reduction of a
 directed graph", 1972).  Only a relation that fails it is searched densely,
-to name the violated axiom and a witness.  Everything here is immutable
-after construction and safe to share between threads.
+to name the violated axiom and a witness.  A dual shares its source's
+covers, levels and built rows, reversed, and builds its other rows when
+read.  Everything here is immutable after construction and safe to share
+between threads.
 """
 
 from __future__ import annotations
@@ -108,8 +110,8 @@ def is_lattice(p: Poset) -> bool:
     return True
 
 
-def _cover_certificate(up: list[int]) -> list[tuple[int, int]] | None:
-    """Sorted cover pairs if the up-set rows form a partial order, else None.
+def _cover_certificate(up: list[int]) -> list[list[int]] | None:
+    """Each element's ascending upper covers if the rows form a partial order, else None.
 
     The elements are walked down a linear extension (:func:`_along_extension`).
     For each element, the lowest strict successor not yet reached from the
@@ -120,23 +122,27 @@ def _cover_certificate(up: list[int]) -> list[tuple[int, int]] | None:
     bit being its own.
     """
     order, rows = _along_extension(up)
-    pairs = []
+    ups: list[list[int]] = [[]] * len(rows)
     for i in range(len(rows) - 1, -1, -1):
         row = rows[i]
         if row & -row != 1 << i:
             return None
         above = row ^ (1 << i)
+        covers = []
         reached = 0
         rest = above
         while rest:
             j = (rest & -rest).bit_length() - 1
-            pairs.append((i, j) if order is None else (order[i], order[j]))
+            covers.append(j)
             reached |= rows[j]
             rest = above & ~reached
         if reached != above:
             return None
-    pairs.sort()
-    return pairs
+        if order is None:
+            ups[i] = covers
+        else:
+            ups[order[i]] = sorted(order[j] for j in covers)
+    return ups
 
 
 def _index_pairs(pairs: Iterable, n: int) -> list[tuple[int, int]]:
@@ -223,17 +229,17 @@ def _first_cycle_pair(succ: list[list[int]]) -> tuple[int, int]:
     return first[0], first[1]
 
 
-def _validate_order(labels: list, up: list[int]) -> list[tuple[int, int]]:
-    """Return the sorted cover pairs of a partial order given by up-set rows.
+def _validate_order(labels: list, up: list[int]) -> list[list[int]]:
+    """Return each element's ascending upper covers in the order the rows give.
 
     A relation that fails the cover certificate is unpacked and searched
     densely for the first violated axiom (reflexivity, then antisymmetry,
     then transitivity), which is raised as a :class:`PosetError` naming a
     witness.
     """
-    pairs = _cover_certificate(up)
-    if pairs is not None:
-        return pairs
+    ups = _cover_certificate(up)
+    if ups is not None:
+        return ups
     n = len(up)
     leq = _bool_rows(up, n)
     diag = np.diagonal(leq)
@@ -329,7 +335,7 @@ class Poset:
         if leq.shape != (n, n):
             raise PosetError(f"relation shape {leq.shape} does not match {n} labels")
         self.labels, self._up = labels, _bit_rows(leq)
-        self._cover_pairs = _validate_order(labels, self._up)
+        self._store_covers(_validate_order(labels, self._up))
 
     @classmethod
     def _from_rows(cls, labels: Sequence, up: list[int]) -> "Poset":
@@ -338,8 +344,19 @@ class Poset:
         p.labels, p._up = list(labels), up
         if not p.labels:
             raise PosetError("poset needs at least one element", kind="empty")
-        p._cover_pairs = _validate_order(p.labels, up)
+        p._store_covers(_validate_order(p.labels, up))
         return p
+
+    def _store_covers(self, ups: list[list[int]]) -> None:
+        """Keep the ascending upper covers with the lower covers and the
+        sorted cover pairs, both read off them in one walk."""
+        downs: list[list[int]] = [[] for _ in ups]
+        pairs = []
+        for u, vs in enumerate(ups):
+            for v in vs:
+                pairs.append((u, v))
+                downs[v].append(u)
+        self._cover_lists, self._cover_pairs = (ups, downs), pairs
 
     @classmethod
     def from_predicate(cls, labels: Sequence, leq: Callable) -> "Poset":
@@ -425,7 +442,8 @@ class Poset:
         if len(labels) != self.n:
             raise PosetError(f"{len(labels)} labels for {self.n} elements")
         p = Poset.__new__(Poset)
-        p.labels, p._up, p._cover_pairs = labels, self._up, self._cover_pairs
+        p.labels, p._up = labels, self._up
+        p._cover_lists, p._cover_pairs = self._cover_lists, self._cover_pairs
         return p
 
     @cached_property
@@ -455,14 +473,18 @@ class Poset:
         return list(self._cover_pairs)
 
     @cached_property
-    def _cover_lists(self) -> tuple[list[list[int]], list[list[int]]]:
-        """Per element, the ascending indices of its upper and lower covers."""
-        ups: list[list[int]] = [[] for _ in range(self.n)]
-        downs: list[list[int]] = [[] for _ in range(self.n)]
-        for u, v in self._cover_pairs:
-            ups[u].append(v)
-            downs[v].append(u)
-        return ups, downs
+    def _up(self) -> list[int]:
+        """Up-set rows (bit j of row i iff i <= j), closed over the upper
+        covers in descending down-set size, a linear extension of the dual.
+        Preset wherever the rows are the input, so only a dual builds them."""
+        ups, _ = self._cover_lists
+        up = [1 << u for u in range(self.n)]
+        for u in _by_up_size(self._down):
+            row = up[u]
+            for v in ups[u]:
+                row |= up[v]
+            up[u] = row
+        return up
 
     @cached_property
     def _down(self) -> list[int]:
@@ -579,13 +601,17 @@ class Poset:
     # -- derived posets ------------------------------------------------------
 
     def dual(self) -> "Poset":
-        """Same elements with the order reversed (an involution)."""
-        # the rows are never mutated, so both posets can share them
+        """Same elements with the order reversed (an involution).  Nothing
+        is rebuilt: the dual takes the cover lists, level arrays and rows
+        built here swapped, and builds any other row view when read."""
         d = Poset.__new__(Poset)
         d.labels = list(self.labels)
-        d._up = self._down
-        d._down = self._up
-        d._cover_pairs = sorted((v, u) for u, v in self._cover_pairs)
+        d._cover_lists, d._level_arrays = self._cover_lists[::-1], self._level_arrays[::-1]
+        # the ascending lower covers give the dual's pairs in sorted order
+        d._cover_pairs = [(u, v) for u, vs in enumerate(self._cover_lists[1]) for v in vs]
+        for rows, swapped in (("_up", "_down"), ("_down", "_up")):
+            if rows in vars(self):
+                setattr(d, swapped, vars(self)[rows])
         return d
 
     def induced(self, indices: Sequence[int]) -> "Poset":
@@ -640,12 +666,17 @@ def find_isomorphism(p: Poset, q: Poset) -> list[int] | None:
 
     Returns a mapping ``m`` with ``m[i]`` the q-index matched to p-index i,
     or None if the posets are not isomorphic.  Exhaustive, not heuristic:
-    a None answer is a proof of non-isomorphism.  A candidate ``x`` for
+    a None answer is a proof of non-isomorphism.  Posets whose multisets of
+    (longest chain below, longest chain above) differ are rejected from the
+    cached level arrays before any refinement.  A candidate ``x`` for
     ``u`` must have as many mapped elements above and below as ``u``, among
     them the images of the first mapped elements on u's cover paths; as the
     partial map keeps the order, x then relates to every mapped element as u.
     """
     if p.n != q.n:
+        return None
+    # an isomorphism keeps each element's longest chains below and above
+    if Counter(zip(*p._level_arrays)) != Counter(zip(*q._level_arrays)):
         return None
     refined = _refine_colors(p, q)
     if refined is None:

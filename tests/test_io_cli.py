@@ -133,6 +133,9 @@ def test_report_document_shape():
      "60372a5e276539eeeeff4b3575be960b2223583f4e7273e4b1e2b4c0e2709482"),
     ("verify --claim thm1 --n 4..7",
      "3241ae18d2fa774db05f0428b566d671597ac388c64b55cf671d5a8cd62746be"),
+    # the isomorphisms found between each leveled subposet and its dual
+    ("verify --claim remarks --n 2..7",
+     "7e40f32290a355c7e9c53c253490ae4230ab70108e615565742f4a1eb5200cdc"),
 ])
 def test_report_bytes_are_pinned(capsys, command, digest):
     assert tamari.cli.main(command.split()) == 0

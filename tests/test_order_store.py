@@ -134,6 +134,32 @@ def test_dual_matches_dense():
         assert (d.dual().leq_matrix == p.leq_matrix).all()
 
 
+def _views(p: Poset) -> tuple:
+    return p.covers, p._cover_lists, p._level_arrays, p._up, p._down
+
+
+def test_dual_shares_what_a_rebuild_derives():
+    for p in SAMPLES:
+        q = Poset._from_rows(p.labels, p._up)  # no down rows built yet
+        lazy = q.dual()
+        assert "_up" not in vars(lazy)
+        rebuilt = Poset._from_rows(p.labels, q._down)
+        shared = q.dual()
+        assert vars(shared)["_up"] is q._down
+        for d in (lazy, shared):
+            assert _views(d) == _views(rebuilt)
+            assert _views(d.dual()) == _views(q)
+
+
+def test_certificate_lists_flatten_to_the_sorted_covers():
+    for p in SAMPLES:
+        ups = tamari.poset._cover_certificate(p._up)
+        strict = p.strict_matrix.astype(np.float64)
+        dense = p.strict_matrix & ~((strict @ strict) > 0.5)
+        pairs = [(u, v) for u, vs in enumerate(ups) for v in vs]
+        assert pairs == [(int(u), int(v)) for u, v in np.argwhere(dense)] == p.covers
+
+
 def test_first_comparable_pair_matches_dense_fiber_check():
     rng = random.Random(2)
     parts_rng = random.Random(3)  # its own stream: the member lists do not depend on it

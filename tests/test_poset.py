@@ -4,6 +4,8 @@ import sys
 import numpy as np
 import pytest
 
+import tamari.poset
+import tamari.theorems
 from conftest import random_poset
 from tamari import (
     INF,
@@ -14,7 +16,7 @@ from tamari import (
     leq_componentwise,
     tamari_poset,
 )
-from tamari.theorems import shifted_level_map
+from tamari.theorems import shifted_level_map, verify_structure
 
 
 def test_singleton_has_no_covers():
@@ -262,6 +264,39 @@ def test_t4b_not_isomorphic_to_dual():
 def test_t4b_leveled_subposet_is_self_dual():
     sub = tamari_poset("b", 4).leveled_subposet().poset
     assert is_isomorphic(sub, sub.dual())
+
+
+@pytest.mark.parametrize("n", range(3, 8))
+def test_remarks_tell_tamari_b_from_its_dual_by_level_pairs(monkeypatch, n):
+    p = tamari_poset.__wrapped__("b", n)  # a fresh poset, not the cached one
+    refine = tamari.poset._refine_colors
+
+    def refine_leveled_only(a, b):
+        if a is p:
+            raise AssertionError(f"T_{n}^B against its dual reached the refinement")
+        return refine(a, b)
+
+    monkeypatch.setattr(tamari.poset, "_refine_colors", refine_leveled_only)
+    monkeypatch.setattr(tamari.theorems, "tamari_poset", lambda kind, m: p)
+    duality, core, _ = verify_structure(n)
+    assert duality.data == {"self_dual": False}
+    assert core.status == "verified"
+    assert "_down" not in vars(p)
+
+
+def test_equal_level_pairs_still_reach_the_refinement(monkeypatch):
+    # the N poset and two disjoint 2-chains: two minimal and two maximal
+    # elements each, all on a longest chain, yet not isomorphic
+    n_poset = Poset.from_covers(range(4), [(0, 2), (1, 2), (1, 3)])
+    chains = Poset.from_covers(range(4), [(0, 2), (1, 3)])
+    assert n_poset._level_arrays == chains._level_arrays == ([0, 0, 1, 1], [1, 1, 0, 0])
+    calls = []
+    refine = tamari.poset._refine_colors
+    monkeypatch.setattr(
+        tamari.poset, "_refine_colors", lambda a, b: calls.append((a, b)) or refine(a, b)
+    )
+    assert find_isomorphism(n_poset, chains) is None
+    assert calls == [(n_poset, chains)]
 
 
 # -- reconstruction --------------------------------------------------------------------
