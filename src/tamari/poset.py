@@ -2,10 +2,12 @@
 
 A :class:`Poset` stores its order as bitset up-set rows (Python ints; bit j
 of row i is set iff element i is below or equal to element j) together with
-its covers (the Hasse diagram).  Every other view, down-set rows, levels
-and the dense boolean matrices kept for tests and oracles, is derived from
-these two and cached; ``Poset.from_vectors`` builds the componentwise order
-of vectors straight into rows, and ``is_lattice`` reads them.  Construction
+its covers (the Hasse diagram) as each element's ascending upper and lower
+cover lists.  Every other view, down-set rows, levels, the sorted cover
+pairs and the dense boolean matrices kept for tests and oracles, is derived
+from these two and cached; ``Poset.from_vectors`` builds the componentwise
+order of vectors straight into rows, each row once, and ``is_lattice`` reads
+them.  Construction
 validates the order by a cover certificate: walking a linear extension from
 the top, each up-set must be the union of the up-sets of its covers, which
 are found along the way (Aho, Garey & Ullman, "The transitive reduction of a
@@ -20,9 +22,9 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import chain
-from operator import itemgetter
+from operator import and_, getitem, itemgetter
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -113,35 +115,57 @@ def is_lattice(p: Poset) -> bool:
 def _cover_certificate(up: list[int]) -> list[list[int]] | None:
     """Each element's ascending upper covers if the rows form a partial order, else None.
 
-    The elements are walked down a linear extension (:func:`_along_extension`).
-    For each element, the lowest strict successor not yet reached from the
-    covers found so far is its next cover.  The element's up-set must then be
-    exactly the union of its covers' up-sets.  The up-sets above it were
-    certified first, so by induction the relation is transitive iff every
-    check passes; reflexivity and antisymmetry follow from each row's lowest
-    bit being its own.
+    The rows are walked down index order (:func:`_walk_covers`); only if that
+    walk fails are they walked again down :func:`_by_up_size`, which is a
+    linear extension of any partial order, so the second walk fails exactly
+    when the relation is not one.
     """
-    order, rows = _along_extension(up)
+    ups = _walk_covers(up)
+    if ups is not None:
+        return ups
+    order = _by_up_size(up)
+    ups = _walk_covers(_selected(up, order))
+    if ups is None:
+        return None
+    out: list[list[int]] = [[]] * len(up)
+    for i, covers in enumerate(ups):
+        out[order[i]] = sorted(order[j] for j in covers)
+    return out
+
+
+def _walk_covers(rows: list[int]) -> list[list[int]] | None:
+    """Each element's ascending upper covers if index order is a linear
+    extension of a partial order given by the rows, else None.
+
+    The elements are walked from the top.  For each element, the lowest
+    strict successor not yet reached from the covers found so far is its
+    next cover.  The element's up-set must then be exactly the union of its
+    covers' up-sets.  The up-sets above it were certified first, so by
+    induction the relation is transitive iff every check passes; reflexivity
+    and antisymmetry follow from each row's lowest bit being its own.
+    """
+    index = list(range(len(rows)))  # one int object per element, shared by the lists naming it
     ups: list[list[int]] = [[]] * len(rows)
-    for i in range(len(rows) - 1, -1, -1):
-        row = rows[i]
-        if row & -row != 1 << i:
+    for i in reversed(index):
+        above = rows[i] ^ 1 << i
+        if not above:
+            continue
+        # above's lowest bit is at most i unless the row's lowest bit is i;
+        # checked first, so every row met below is certified and holds its own bit
+        j = (above & -above).bit_length() - 1
+        if j <= i:
             return None
-        above = row ^ (1 << i)
-        covers = []
-        reached = 0
-        rest = above
+        covers = [index[j]]
+        reached = rows[j]
+        rest = above ^ above & reached
         while rest:
             j = (rest & -rest).bit_length() - 1
-            covers.append(j)
+            covers.append(index[j])
             reached |= rows[j]
-            rest = above & ~reached
+            rest ^= rest & rows[j]
         if reached != above:
             return None
-        if order is None:
-            ups[i] = covers
-        else:
-            ups[order[i]] = sorted(order[j] for j in covers)
+        ups[i] = covers
     return ups
 
 
@@ -266,21 +290,28 @@ def _validate_order(labels: list, up: list[int]) -> list[list[int]]:
 
 
 def _componentwise_rows(vectors: list) -> list[int]:
-    """Up-set rows of the componentwise order on equal-length vectors."""
+    """Up-set rows of the componentwise order on equal-length vectors.
+
+    Per coordinate, the vectors holding at least each value form a bitset,
+    filled in a bytearray down the values; each row is then built once, as
+    the intersection of its vector's sets.
+    """
     width = len(vectors[0]) if vectors else 0
     if any(len(v) != width for v in vectors):
         raise PosetError("vectors of different lengths are not ordered componentwise")
-    up = [(1 << len(vectors)) - 1] * len(vectors)
+    at_least: list[dict] = []
     for c in range(width):
         holding: dict = {}
         for i, v in enumerate(vectors):
-            holding[v[c]] = holding.get(v[c], 0) | 1 << i
-        at_least = 0
+            holding.setdefault(v[c], []).append(i)
+        bits = bytearray((len(vectors) + 7) // 8)
         for value in sorted(holding, reverse=True):
-            at_least |= holding[value]
-            holding[value] = at_least
-        up = [row & holding[v[c]] for row, v in zip(up, vectors)]
-    return up
+            for i in holding[value]:
+                bits[i >> 3] |= 1 << (i & 7)
+            holding[value] = int.from_bytes(bits, "little")
+        at_least.append(holding)
+    everything = (1 << len(vectors)) - 1
+    return [reduce(and_, map(getitem, at_least, v), everything) for v in vectors]
 
 
 @dataclass(frozen=True)
@@ -348,15 +379,14 @@ class Poset:
         return p
 
     def _store_covers(self, ups: list[list[int]]) -> None:
-        """Keep the ascending upper covers with the lower covers and the
-        sorted cover pairs, both read off them in one walk."""
+        """Keep the ascending upper covers with the lower covers, which one
+        walk over them in index order gives ascending too; the sorted pairs
+        are derived only when read (:attr:`_cover_pairs`)."""
         downs: list[list[int]] = [[] for _ in ups]
-        pairs = []
         for u, vs in enumerate(ups):
             for v in vs:
-                pairs.append((u, v))
                 downs[v].append(u)
-        self._cover_lists, self._cover_pairs = (ups, downs), pairs
+        self._cover_lists = ups, downs
 
     @classmethod
     def from_predicate(cls, labels: Sequence, leq: Callable) -> "Poset":
@@ -442,8 +472,7 @@ class Poset:
         if len(labels) != self.n:
             raise PosetError(f"{len(labels)} labels for {self.n} elements")
         p = Poset.__new__(Poset)
-        p.labels, p._up = labels, self._up
-        p._cover_lists, p._cover_pairs = self._cover_lists, self._cover_pairs
+        p.labels, p._up, p._cover_lists = labels, self._up, self._cover_lists
         return p
 
     @cached_property
@@ -471,6 +500,13 @@ class Poset:
     def covers(self) -> list[tuple[int, int]]:
         """Sorted cover pairs (lower, upper): the Hasse diagram edges."""
         return list(self._cover_pairs)
+
+    @cached_property
+    def _cover_pairs(self) -> list[tuple[int, int]]:
+        """The cover pairs in sorted order, read off the ascending upper
+        covers when first asked for; building the order lists none."""
+        ups, _ = self._cover_lists
+        return [(u, v) for u, vs in enumerate(ups) for v in vs]
 
     @cached_property
     def _up(self) -> list[int]:
@@ -509,12 +545,17 @@ class Poset:
 
     def first_comparable_pair(self, members: Sequence[int]) -> tuple[int, int] | None:
         """The first (a, b) with a != b and a <= b, scanning ``members`` in
-        their given order for a and then for b; None for an antichain."""
-        mask = sum(1 << m for m in set(members))
+        their given order for a and then for b; None for an antichain.
+        Since a <= a, a has a comparable partner iff its hits in the mask
+        are more than its own bit."""
+        mask = 0
+        for m in members:  # OR, so a repeated member counts once
+            mask |= 1 << m
+        up = self._up
         for a in members:
-            hit = self._up[a] & mask & ~(1 << a)
-            if hit:
-                return a, next(b for b in members if hit >> b & 1)
+            hit = up[a] & mask
+            if hit != 1 << a:
+                return a, next(b for b in members if b != a and hit >> b & 1)
         return None
 
     def first_comparable_in_parts(self, parts: Iterable[Sequence[int]]) -> tuple[int, int] | None:
@@ -603,12 +644,11 @@ class Poset:
     def dual(self) -> "Poset":
         """Same elements with the order reversed (an involution).  Nothing
         is rebuilt: the dual takes the cover lists, level arrays and rows
-        built here swapped, and builds any other row view when read."""
+        built here swapped, and builds any other row view, and its sorted
+        cover pairs, when read."""
         d = Poset.__new__(Poset)
         d.labels = list(self.labels)
         d._cover_lists, d._level_arrays = self._cover_lists[::-1], self._level_arrays[::-1]
-        # the ascending lower covers give the dual's pairs in sorted order
-        d._cover_pairs = [(u, v) for u, vs in enumerate(self._cover_lists[1]) for v in vs]
         for rows, swapped in (("_up", "_down"), ("_down", "_up")):
             if rows in vars(self):
                 setattr(d, swapped, vars(self)[rows])

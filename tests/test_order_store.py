@@ -10,6 +10,8 @@ into a dense matrix.
 
 import json
 import random
+import sys
+import tracemalloc
 
 import networkx as nx
 import numpy as np
@@ -31,6 +33,7 @@ from tamari import (
     tamari_poset,
     verify_claims,
 )
+from tamari.elements import enumerate_type_b
 from tamari.io import document_to_poset, dumps_document, poset_document, poset_to_dot
 from tamari.theorems import shifted_level_map
 
@@ -160,6 +163,46 @@ def test_certificate_lists_flatten_to_the_sorted_covers():
         assert pairs == [(int(u), int(v)) for u, v in np.argwhere(dense)] == p.covers
 
 
+def test_cover_pairs_are_derived_when_first_read():
+    p = tamari_poset.__wrapped__("b", 7)
+    d = p.dual()
+    assert find_isomorphism(p, d) is None  # reads the cover lists and levels only
+    assert "_cover_pairs" not in vars(p) and "_cover_pairs" not in vars(d)
+    covers = p.covers
+    assert "_cover_pairs" in vars(p) and "_cover_pairs" not in vars(d)
+    assert d.closure_mismatch([(v, u) for u, v in covers]) == (None, None)
+    assert "_cover_pairs" in vars(d)
+
+
+def test_covers_are_the_sorted_pairs_of_the_cover_lists():
+    for p in SAMPLES:
+        for q in (p, p.dual()):
+            ups, downs = q._cover_lists
+            pairs = sorted((u, v) for u, vs in enumerate(ups) for v in vs)
+            assert pairs == sorted((u, v) for v, us in enumerate(downs) for u in us)
+            assert q.covers == pairs
+        assert p.dual().covers == sorted((v, u) for u, v in p.covers)
+
+
+def brute_first_comparable_pair(p: Poset, members: list[int]):
+    for a in members:
+        for b in members:
+            if a != b and p.leq(a, b):
+                return a, b
+    return None
+
+
+def test_first_comparable_pair_matches_a_brute_force_scan():
+    rng = random.Random(4)
+    for p in SAMPLES:
+        for _ in range(10):
+            members = [rng.randrange(p.n) for _ in range(rng.randint(1, min(p.n, 8)))]
+            repeated = members + rng.sample(members, rng.randint(1, len(members)))
+            rng.shuffle(repeated)
+            for part in (members, repeated, members[:1] * 3):
+                assert p.first_comparable_pair(part) == brute_first_comparable_pair(p, part)
+
+
 def test_first_comparable_pair_matches_dense_fiber_check():
     rng = random.Random(2)
     parts_rng = random.Random(3)  # its own stream: the member lists do not depend on it
@@ -221,6 +264,23 @@ def test_from_vectors_matches_the_componentwise_predicate():
         assert p.labels == q.labels == vectors
         assert p.covers == q.covers
         assert (p.leq_matrix == q.leq_matrix).all()
+
+
+def test_from_vectors_peaks_near_its_rows():
+    # each row is built once, and no cover pair is listed: the traced peak
+    # stays within twice the rows (rebuilding the rows once per coordinate
+    # and listing the pairs took 2.14 times)
+    vectors = enumerate_type_b(7)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before, _ = tracemalloc.get_traced_memory()
+        p = Poset.from_vectors(vectors)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    rows = sum(sys.getsizeof(r) for r in p._up)
+    assert peak < 2.0 * rows, f"peak {peak} bytes for {rows} bytes of rows"
 
 
 def test_from_vectors_rejects_a_repeated_vector():
