@@ -3,31 +3,35 @@
 A :class:`Poset` stores its order as bitset up-set rows (Python ints; bit j
 of row i is set iff element i is below or equal to element j) together with
 its covers (the Hasse diagram) as each element's ascending upper and lower
-cover lists.  Every other view, down-set rows, levels, the sorted cover
-pairs and the dense boolean matrices kept for tests and oracles, is derived
-from these two and cached; ``Poset.from_vectors`` builds the componentwise
-order of vectors straight into rows, each row once, and ``is_lattice`` reads
-them.  Construction
-validates the order by a cover certificate: walking a linear extension from
-the top, each up-set must be the union of the up-sets of its covers, which
-are found along the way (Aho, Garey & Ullman, "The transitive reduction of a
-directed graph", 1972).  Only a relation that fails it is searched densely,
-to name the violated axiom and a witness.  A dual shares its source's
-covers, levels and built rows, reversed, and builds its other rows when
-read.  Everything here is immutable after construction and safe to share
-between threads.
+cover lists.  Every other view, down-set rows, levels and the sorted cover
+pairs, is derived from these two and cached; ``Poset.from_vectors`` builds
+the componentwise order of vectors straight into rows, each row once, and
+``is_lattice`` reads them.  Construction validates the order by a cover
+certificate: walking a linear extension from the top, each up-set must be
+the union of the up-sets of its covers, which are found along the way (Aho,
+Garey & Ullman, "The transitive reduction of a directed graph", 1972).  Only
+a relation that fails it is scanned again, row by row, to name the violated
+axiom and a witness.  A dual shares its source's covers, levels and built
+rows, reversed, and builds its other rows when read.  The dense numpy views
+(``leq_matrix``, ``strict_matrix``, ``cover_matrix``), kept for tests and
+oracles, are the only code that imports numpy.  Everything here is immutable
+after construction and safe to share between threads.
 """
 
 from __future__ import annotations
 
+import sys
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
 from itertools import chain
-from operator import and_, getitem, itemgetter
-from typing import Callable, Iterable, Sequence
+from numbers import Integral
+from operator import and_, getitem, itemgetter, or_
+from typing import Callable, Iterable, Iterator, Sequence
 
-import numpy as np
+
+# truth values 0 and 1, as bytes, to binary digits
+_DIGITS = bytes.maketrans(b"\0\1", b"01")
 
 
 class PosetError(ValueError):
@@ -39,26 +43,32 @@ class PosetError(ValueError):
         self.witness = witness
 
 
-def _two_step(m: np.ndarray) -> np.ndarray:
-    # Boolean matrix square via float32 matmul, O(N^3).  Only the witness
-    # search for a relation that failed the cover certificate calls it.
-    f = m.astype(np.float32)
-    return (f @ f) > 0.5
+def _bits(row: int) -> Iterator[int]:
+    """The indices of the set bits of ``row``, ascending."""
+    while row:
+        low = row & -row
+        yield low.bit_length() - 1
+        row ^= low
 
 
-def _bit_rows(m: np.ndarray) -> list[int]:
-    """Row i of a boolean matrix as an int with bit j set iff ``m[i, j]``."""
-    width = (m.shape[1] + 7) // 8
-    packed = np.packbits(m, axis=1, bitorder="little").tobytes()
-    return [int.from_bytes(packed[i : i + width], "little") for i in range(0, len(packed), width)]
+def _two_step(up: list[int]) -> Iterator[int]:
+    """The relation composed with itself, row by row: row i is the OR of
+    ``up[k]`` over the k in ``up[i]``.  Lazy, so a scan for the first row it
+    changes stops there; only a relation that failed the cover certificate
+    is scanned."""
+    return (reduce(or_, map(up.__getitem__, _bits(row)), 0) for row in up)
 
 
-def _bool_rows(rows: list[int], n: int) -> np.ndarray:
-    """Inverse of :func:`_bit_rows` for an n x n matrix."""
+def _bool_rows(rows: list[int], n: int):
+    """The rows as a read-only n x n numpy boolean matrix, bit j of row i
+    at ``[i, j]``: the dense views, the only code that imports numpy."""
+    import numpy as np
+
     width = (n + 7) // 8
     packed = np.frombuffer(b"".join(r.to_bytes(width, "little") for r in rows), dtype=np.uint8)
-    bits = np.unpackbits(packed.reshape(n, width), axis=1, count=n, bitorder="little")
-    return bits.view(bool)
+    bits = np.unpackbits(packed.reshape(n, width), axis=1, count=n, bitorder="little").view(bool)
+    bits.setflags(write=False)
+    return bits
 
 
 def _selected(rows: list[int], idx: list[int]) -> list[int]:
@@ -79,35 +89,24 @@ def _by_up_size(up: list[int]) -> list[int]:
     return sorted(range(len(up)), key=[-row.bit_count() for row in up].__getitem__)
 
 
-def _along_extension(up: list[int], *more: list[int]) -> tuple:
-    """``(order, up, *more)`` with the rows re-indexed along ``order``.
-
-    ``order`` is None when index order already is a linear extension of
-    ``up`` (every row's lowest bit is its own) and the rows come back as
-    they are; otherwise it is :func:`_by_up_size`.
-    """
-    if all(row & -row == 1 << i for i, row in enumerate(up)):
-        return None, up, *more
-    order = _by_up_size(up)
-    return order, *(_selected(rows, order) for rows in (up, *more))
-
-
 def is_lattice(p: Poset) -> bool:
     """True iff every pair has a unique least upper and greatest lower bound.
 
-    Up-sets and down-sets are bitset rows over a linear extension, so the
-    lowest common upper bound of a pair is a minimal one; a least upper
-    bound exists iff its up-set is exactly the common upper bounds (dually,
-    the highest common lower bound and its down-set).
+    A finite poset with a least element is a lattice iff every pair has a
+    join, since the meet of a pair is then the join of its common lower
+    bounds; so only up rows are read.  Over a linear extension the lowest
+    common upper bound of a pair is a minimal one, and a join exists iff its
+    up-set is exactly the common upper bounds.
     """
-    _, up, down = _along_extension(p._up, p._down)
+    if len(p.minimal_elements()) != 1:
+        return False
+    up = p._up
+    if any(row & -row != 1 << i for i, row in enumerate(up)):  # index order is no linear extension
+        up = _selected(up, _by_up_size(up))
     for a in range(p.n):
         for b in range(a + 1, p.n):
             ub = up[a] & up[b]
             if not ub or up[(ub & -ub).bit_length() - 1] != ub:
-                return False
-            lb = down[a] & down[b]
-            if not lb or down[lb.bit_length() - 1] != lb:
                 return False
     return True
 
@@ -173,19 +172,21 @@ def _index_pairs(pairs: Iterable, n: int) -> list[tuple[int, int]]:
     """``pairs`` as (int, int) tuples of indices in ``range(n)``, else a
     PosetError naming the first that is not two integer indices or not in
     range.  Lists and tuples of two ints, as JSON gives them, are checked by
-    C-level passes; only other pairs, or a bad one, take the loop."""
+    C-level passes; only other pairs, or a bad one, take the loop.  A numpy
+    array may be a pair, but only once numpy is loaded; it is not imported."""
     pairs = list(pairs)
     if set(map(type, pairs)) <= {list, tuple} and set(map(len, pairs)) <= {2}:
         # typed before any set, where (0.0, 1) and (True, 1) would pass as (0, 1) and (1, 1)
         ends = list(chain.from_iterable(pairs))
         if set(map(type, ends)) <= {int} and (not ends or 0 <= min(ends) and max(ends) < n):
             return list(map(tuple, pairs))
+    array = getattr(sys.modules.get("numpy"), "ndarray", ())
     checked = []
     for pair in pairs:
         if not (
-            isinstance(pair, (tuple, list, np.ndarray))
+            isinstance(pair, (tuple, list, array))
             and len(pair) == 2
-            and all(isinstance(x, (int, np.integer)) and not isinstance(x, bool) for x in pair)
+            and all(isinstance(x, Integral) and not isinstance(x, bool) for x in pair)
         ):
             raise PosetError(f"cover {pair!r} is not a pair of element indices")
         u, v = pair
@@ -256,31 +257,29 @@ def _first_cycle_pair(succ: list[list[int]]) -> tuple[int, int]:
 def _validate_order(labels: list, up: list[int]) -> list[list[int]]:
     """Return each element's ascending upper covers in the order the rows give.
 
-    A relation that fails the cover certificate is unpacked and searched
-    densely for the first violated axiom (reflexivity, then antisymmetry,
-    then transitivity), which is raised as a :class:`PosetError` naming a
-    witness.
+    A relation that fails the cover certificate is scanned row by row for
+    the first violated axiom (reflexivity, then antisymmetry, then
+    transitivity) and its first witness in row-major order, which is raised
+    as a :class:`PosetError`.
     """
     ups = _cover_certificate(up)
     if ups is not None:
         return ups
-    n = len(up)
-    leq = _bool_rows(up, n)
-    diag = np.diagonal(leq)
-    if not diag.all():
-        i = int(np.nonzero(~diag)[0][0])
-        raise PosetError(
-            f"relation is not reflexive at {labels[i]!r}",
-            kind="reflexivity",
-            witness=(labels[i],),
-        )
-    sym = leq & leq.T & ~np.eye(n, dtype=bool)
-    if sym.any():
-        i, j = (int(x) for x in np.argwhere(sym)[0])
-        raise _antisymmetry_error(labels, i, j)
-    bad = _two_step(leq) & ~leq
-    i, j = (int(x) for x in np.argwhere(bad)[0])
-    k = int(np.nonzero(leq[i] & leq[:, j])[0][0])
+    for i, row in enumerate(up):
+        if not row >> i & 1:
+            raise PosetError(
+                f"relation is not reflexive at {labels[i]!r}",
+                kind="reflexivity",
+                witness=(labels[i],),
+            )
+    for i, row in enumerate(up):
+        for j in _bits(row ^ 1 << i):
+            if up[j] >> i & 1:
+                raise _antisymmetry_error(labels, i, j)
+    # reflexive, so each two-step row holds its row, and a bit more where transitivity fails
+    i, two = next((i, two) for i, two in enumerate(_two_step(up)) if two != up[i])
+    j = next(_bits(two ^ up[i]))
+    k = next(k for k in _bits(up[i]) if up[k] >> j & 1)
     raise PosetError(
         f"relation is not transitive: {labels[i]!r} <= {labels[k]!r} <= "
         f"{labels[j]!r} but not {labels[i]!r} <= {labels[j]!r}",
@@ -357,15 +356,19 @@ class LeveledSubposet:
 class Poset:
     """Immutable finite poset over an indexed sequence of labels."""
 
-    def __init__(self, labels: Sequence, leq: np.ndarray):
+    def __init__(self, labels: Sequence, leq: Sequence[Sequence]):
+        """Build from an n x n matrix of truth values (a numpy array or
+        nested lists): ``leq[i][j]`` iff element i is below or equal to j."""
         labels = list(labels)
         if not labels:
             raise PosetError("poset needs at least one element", kind="empty")
-        leq = np.asarray(leq, dtype=bool)
         n = len(labels)
-        if leq.shape != (n, n):
-            raise PosetError(f"relation shape {leq.shape} does not match {n} labels")
-        self.labels, self._up = labels, _bit_rows(leq)
+        shape = (len(leq), *sorted({len(row) for row in leq}))
+        if shape != (n, n):
+            raise PosetError(f"relation shape {shape} does not match {n} labels")
+        # a row's truth values, last first, are the binary digits of its bits
+        self.labels = labels
+        self._up = [int(bytes(map(bool, row))[::-1].translate(_DIGITS), 2) for row in leq]
         self._store_covers(_validate_order(labels, self._up))
 
     @classmethod
@@ -476,25 +479,18 @@ class Poset:
         return p
 
     @cached_property
-    def leq_matrix(self) -> np.ndarray:
-        """Read-only dense view of the order, for tests and oracles."""
-        m = _bool_rows(self._up, self.n)
-        m.setflags(write=False)
-        return m
+    def leq_matrix(self):
+        """Read-only dense numpy view of the order, for tests and oracles."""
+        return _bool_rows(self._up, self.n)
 
     @cached_property
-    def strict_matrix(self) -> np.ndarray:
-        m = self.leq_matrix & ~np.eye(self.n, dtype=bool)
-        m.setflags(write=False)
-        return m
+    def strict_matrix(self):
+        return _bool_rows([row ^ 1 << i for i, row in enumerate(self._up)], self.n)
 
     @cached_property
-    def cover_matrix(self) -> np.ndarray:
-        cov = np.zeros((self.n, self.n), dtype=bool)
-        pairs = np.array(self._cover_pairs, dtype=np.intp).reshape(-1, 2)
-        cov[pairs[:, 0], pairs[:, 1]] = True
-        cov.setflags(write=False)
-        return cov
+    def cover_matrix(self):
+        ups, _ = self._cover_lists
+        return _bool_rows([reduce(or_, (1 << v for v in vs), 0) for vs in ups], self.n)
 
     @property
     def covers(self) -> list[tuple[int, int]]:

@@ -267,3 +267,56 @@ def test_t7b_covers_change_one_coordinate():
     for u, v in covers:
         a, b = p.labels[u], p.labels[v]
         assert sum(x != y for x, y in zip(a, b)) == 1
+
+
+# -- failure witnesses from the rows alone ------------------------------------------
+
+
+def _rows(m: np.ndarray) -> list[int]:
+    return [sum(1 << int(j) for j in np.nonzero(r)[0]) for r in m]
+
+
+def test_two_step_is_the_dense_square():
+    rng = random.Random(31)
+    for _ in range(60):
+        n = rng.randint(1, 40)
+        m = np.array([[rng.random() < rng.choice([0.05, 0.2]) for _ in range(n)] for _ in range(n)])
+        assert list(tamari.poset._two_step(_rows(m))) == _rows(_square(m))
+
+
+def test_violations_are_named_without_a_dense_matrix(monkeypatch):
+    rng = random.Random(57)
+    broken = []
+    for _ in range(120):
+        p = random_poset(rng, rng.randint(2, 25))
+        leq = (shuffled(p, rng) if rng.random() < 0.5 else p).leq_matrix.copy()
+        for _ in range(rng.randint(1, 3)):
+            i, j = rng.randrange(p.n), rng.randrange(p.n)
+            leq[i, j] = not leq[i, j]
+        if dense_violation(leq) is not None:
+            broken.append((leq, dense_violation(leq)))
+
+    def forbidden(*args):
+        raise AssertionError("dense witness search")
+
+    monkeypatch.setattr(tamari.poset, "_bool_rows", forbidden)
+    seen = set()
+    for leq, (kind, witness) in broken:
+        labels, nested = list(range(len(leq))), leq.tolist()
+        builds = [
+            lambda: Poset(labels, leq),
+            lambda: Poset(labels, nested),
+            lambda: Poset.from_predicate(labels, lambda a, b: nested[a][b]),
+        ]
+        for build in builds:
+            with pytest.raises(PosetError) as err:
+                build()
+            assert (err.value.kind, err.value.witness) == (kind, witness)
+        seen.add(kind)
+    assert seen == {"reflexivity", "antisymmetry", "transitivity"}
+    with pytest.raises(PosetError) as err:
+        Poset.from_vectors([(0, 1), (1, 2), (0, 1)])
+    assert (err.value.kind, err.value.witness) == ("antisymmetry", ((0, 1), (0, 1)))
+    with pytest.raises(PosetError) as err:
+        Poset.from_predicate([1, 2, 3], lambda a, b: a == b or (a, b) in {(1, 2), (2, 3)})
+    assert (err.value.kind, err.value.witness) == ("transitivity", (1, 2, 3))

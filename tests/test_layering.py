@@ -6,8 +6,10 @@
 - The flow network's paired forward and residual arcs (``adj``, ``to``,
   ``cap``): ``flow.py``; ``gk.py`` asks it for paths and potentials.
 
-numpy is the order format's packing tool, so only ``poset.py`` may import
-it.  No module imports a private name (``_bit_rows``, ``_bool_rows`` ...)
+numpy only builds the dense views kept for tests and oracles
+(``leq_matrix``, ``strict_matrix``, ``cover_matrix``), so only ``poset.py``
+may import it, and only inside a function: loading the package never loads
+numpy.  No module imports a private name (``_bool_rows``, ``_two_step`` ...)
 from ``poset.py``, or reads a ``_``-prefixed attribute of anything but
 ``self`` or ``cls`` that its own source does not define.
 """
@@ -18,9 +20,11 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parent.parent / "src" / "tamari"
 
 
-def _imports(path: Path):
-    """(module, name) for every import in a file; name is None for ``import m``."""
-    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+def _imports(path: Path, in_functions: bool = True):
+    """(module, name) for every import in a file; name is None for ``import m``.
+    With ``in_functions`` false, only those run when the module is loaded."""
+    todo = [ast.parse(path.read_text(), filename=str(path))]
+    for node in todo:  # todo grows while it is read
         if isinstance(node, ast.Import):
             for alias in node.names:
                 yield alias.name, None
@@ -28,6 +32,9 @@ def _imports(path: Path):
             module = "." * node.level + (node.module or "")
             for alias in node.names:
                 yield module, alias.name
+        elif not in_functions and isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        todo.extend(ast.iter_child_nodes(node))
 
 
 def test_sources_are_found():
@@ -42,6 +49,9 @@ def test_only_poset_imports_numpy():
         if any(module.split(".")[0] == "numpy" for module, _ in _imports(path))
     )
     assert users == ["poset.py"]
+    loaded = [module for module, _ in _imports(SRC / "poset.py", in_functions=False)]
+    assert "numpy" not in {module.split(".")[0] for module in loaded}
+    assert "functools" in loaded  # the module-level imports are seen
 
 
 def test_no_module_imports_private_poset_names():
