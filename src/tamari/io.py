@@ -3,14 +3,18 @@
 All output here is byte-deterministic for identical inputs: elements are
 emitted in index order, covers sorted, fibers by ascending level, and JSON
 is dumped with a fixed key order and no NaN/Infinity escapes (vectors are
-always serialized in their text form).
+always serialized in their text form).  A poset document is written with
+the bytes of ``json.dumps(doc, indent=2)`` field by field: its scalars, a
+list of str (``elements``), a list of ``[int, int]`` (``covers``) and an
+object of str to int (``levels``); any other document goes whole to
+``json.dumps``.
 """
 
 from __future__ import annotations
 
 import json
 from itertools import chain
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping
 
 from .elements import element_listing, format_vector
 from .lattices import POSET_MAX_N, family_name, family_size, tamari_poset
@@ -166,83 +170,46 @@ def _family_poset(kind: str, n: int | None, labels: list[str]) -> tuple[str, Pos
 
 
 def dumps_document(doc: Mapping) -> str:
-    """The bytes of ``json.dumps(doc, indent=2, allow_nan=False) + "\\n"``.
-
-    On Python 3.10-3.12 ``json.dumps`` runs its pure-Python encoder whenever
-    ``indent`` is set.  Here the containers are laid out in Python, but a
-    run of str or int leaves (the element texts, the ``[u, v]`` cover pairs,
-    the levels) is written by one %-format at C speed, after one C-level
-    escape of each str (``encode_basestring_ascii``); any other leaf goes
-    through ``json.dumps``, so a NaN still raises ValueError.
-    """
-    return _encode(doc, "\n") + "\n"
-
-
-def _encode(value, margin: str) -> str:
-    """The JSON text of ``value`` laid out as ``json.dumps(indent=2)`` does,
-    where ``margin`` is the newline and indent of the line it starts on."""
-    inner = margin + "  "
-    sep = "," + inner
-    if isinstance(value, (list, tuple)):
-        if not value:
-            return "[]"
-        run = _run(value, inner)
-        if run is None:
-            body = sep.join([_encode(item, inner) for item in value])
+    """The bytes of ``json.dumps(doc, indent=2, allow_nan=False) + "\\n"``,
+    without the pure-Python encoder that Python 3.10-3.12 run whenever
+    ``indent`` is set, for a document whose fields :func:`_field_text` can
+    write; any other document goes whole to ``json.dumps``."""
+    if isinstance(doc, dict) and doc:
+        fields = []
+        for key, value in doc.items():
+            text = _field_text(value) if type(key) is str else None
+            if text is None:
+                break
+            fields.append(_encode_str(key) + ": " + text)
         else:
-            spec, _, args = run
-            body = sep.join([spec] * len(value)) % tuple(args)
-        return "[" + inner + body + margin + "]"
-    if isinstance(value, dict):
-        if not value:
-            return "{}"
-        keys = map(_key_text, value)
-        run = _run(list(value.values()), inner)
-        if run is None:
-            body = sep.join(map("{}: {}".format, keys, [_encode(v, inner) for v in value.values()]))
-        else:
-            spec, arity, args = run
-            body = sep.join(["%s: " + spec] * len(value)) % tuple(
-                chain.from_iterable(zip(keys, *[iter(args)] * arity)))
-        return "{" + inner + body + margin + "}"
-    return json.dumps(value, allow_nan=False)
+            return "{\n  " + ",\n  ".join(fields) + "\n}\n"
+    return json.dumps(doc, indent=2, allow_nan=False) + "\n"
 
 
-def _run(items: Sequence, margin: str) -> tuple[str, int, Iterable] | None:
-    """How to write ``items`` at ``margin`` by one %-format, when they are
-    all str, all int, or equally long nonempty lists whose items form such a
-    run in turn: each item's spec, how many arguments it takes, and all the
-    arguments in order.  None for any other items."""
-    kinds = set(map(type, items))
-    if len(kinds) != 1:
-        return None
-    (kind,) = kinds
-    if kind is str:
-        return "%s", 1, map(_encode_str, items)
-    if kind is int:  # not bool, which "%d" would write as a number
-        return "%d", 1, items
-    if kind not in (list, tuple):
-        return None
-    widths = set(map(len, items))
-    if len(widths) != 1 or widths == {0}:
-        return None
-    (width,) = widths
-    inner = margin + "  "
-    cells = _run(list(chain.from_iterable(items)), inner)
-    if cells is None:
-        return None
-    spec, arity, args = cells
-    return "[" + inner + ("," + inner).join([spec] * width) + margin + "]", width * arity, args
+# a [u, v] cover pair at indent 4
+_PAIR = "[\n      %d,\n      %d\n    ]"
 
 
-def _key_text(key) -> str:
-    """A dict key as ``json.dumps`` writes it: a str escaped, an int, float,
-    bool or None by its JSON text, quoted; any other key is refused."""
-    if isinstance(key, str):
-        return _encode_str(key)
-    if isinstance(key, (int, float)) or key is None:
-        return _encode_str(json.dumps(key, allow_nan=False))
-    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
+def _field_text(value) -> str | None:
+    """A field's value laid out at indent 2: a scalar or an empty list or
+    object by ``json.dumps``, so a NaN raises ValueError; the element texts,
+    the cover pairs or the levels by one join or %-format, each str escaped
+    by ``encode_basestring_ascii``; None for any other value."""
+    if not isinstance(value, (list, tuple, dict)) or not value:
+        return json.dumps(value, allow_nan=False)
+    if type(value) is list:
+        kinds = set(map(type, value))
+        if kinds == {str}:
+            return "[\n    " + ",\n    ".join(map(_encode_str, value)) + "\n  ]"
+        if (kinds == {list} and set(map(len, value)) == {2}
+                and set(map(type, chain.from_iterable(value))) == {int}):
+            pairs = ",\n    ".join([_PAIR] * len(value)) % tuple(chain.from_iterable(value))
+            return "[\n    " + pairs + "\n  ]"
+    elif (type(value) is dict and set(map(type, value)) == {str}
+            and set(map(type, value.values())) == {int}):
+        keyed = chain.from_iterable(zip(map(_encode_str, value), value.values()))
+        return "{\n    " + ",\n    ".join(["%s: %d"] * len(value)) % tuple(keyed) + "\n  }"
+    return None
 
 
 def report_document(report) -> dict:
@@ -275,7 +242,7 @@ def poset_to_dot(
     """
     lines = [f"digraph {name} {{", "  rankdir=BT;", '  node [shape=box];']
     for i, lab in enumerate(p.labels):
-        text = _label_text(lab).replace('"', '\\"')
+        text = _label_text(lab).replace("\\", "\\\\").replace('"', '\\"')
         lines.append(f'  n{i} [label="{text}"];')
     for u, v in p.covers:
         lines.append(f"  n{u} -> n{v};")

@@ -13,9 +13,9 @@ Garey & Ullman, "The transitive reduction of a directed graph", 1972).  Only
 a relation that fails it is scanned again, row by row, to name the violated
 axiom and a witness.  A dual shares its source's covers, levels and built
 rows, reversed, and builds its other rows when read.  The dense numpy views
-(``leq_matrix``, ``strict_matrix``, ``cover_matrix``), kept for tests and
-oracles, are the only code that imports numpy.  Everything here is immutable
-after construction and safe to share between threads.
+(``leq_matrix``, ``cover_matrix``), kept for tests and oracles, are the
+only code that imports numpy.  Everything here is immutable after
+construction and safe to share between threads.
 """
 
 from __future__ import annotations
@@ -482,10 +482,6 @@ class Poset:
     def leq_matrix(self):
         """Read-only dense numpy view of the order, for tests and oracles."""
         return _bool_rows(self._up, self.n)
-
-    @cached_property
-    def strict_matrix(self):
-        return _bool_rows([row ^ 1 << i for i, row in enumerate(self._up)], self.n)
 
     @cached_property
     def cover_matrix(self):

@@ -108,7 +108,7 @@ def test_max_antichain_oracle_t2b():
 def _exhaustive_partition(p: Poset) -> tuple[int, ...]:
     """The full partition by a test-only DP over chain tops, any k."""
     order = p.topological_order()
-    lt = p.strict_matrix
+    lt = p.leq_matrix & ~np.eye(p.n, dtype=bool)
     n = p.n
 
     def union(k: int) -> int:
@@ -141,7 +141,7 @@ def _exhaustive_partition(p: Poset) -> tuple[int, ...]:
 def _exhaustive_antichain_union(p: Poset, k: int) -> int:
     """Max size of a subset with no chain of k+1 elements, by subset scan."""
     order = p.topological_order()
-    lt = p.strict_matrix
+    lt = p.leq_matrix & ~np.eye(p.n, dtype=bool)
     best = 0
     for mask in range(1 << p.n):
         members = [v for v in order if mask >> v & 1]

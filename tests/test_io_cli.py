@@ -4,10 +4,12 @@ import re
 import subprocess
 import sys
 import tracemalloc
+from types import SimpleNamespace
 
 import pytest
 
 import tamari.cli
+import tamari.io
 from tamari import Poset, element_listing, tamari_poset
 from tamari.io import (
     document_to_poset,
@@ -68,6 +70,31 @@ def test_elements_document_text_is_the_stdlib_encoding(n):
     for kind in "ab":
         doc = elements_document(element_listing(kind, n).splitlines(), kind=f"tamari_{kind}", n=n)
         assert dumps_document(doc) == _stdlib_text(doc)
+
+
+@pytest.mark.parametrize("kind", "ab")
+def test_package_documents_never_reach_the_indenting_encoder(kind, monkeypatch):
+    """Every document the package writes is laid out by ``dumps_document``
+    itself: one that fell back to ``json.dumps(indent=2)`` would be written
+    by the pure-Python encoder, about four times slower."""
+    docs = [elements_document(element_listing(kind, n).splitlines(), kind=f"tamari_{kind}", n=n)
+            for n in range(1, 11)]
+    for n in range(1, 8):
+        p = tamari_poset(kind, n)
+        for levels in (None, p.level_map("lowest"), shifted_level_map(p)):
+            docs.append(poset_document(p, kind=f"tamari_{kind}", n=n, levels=levels))
+    texts = [_stdlib_text(doc) for doc in docs]
+    # T_1 has one element and no covers, T_1^B two elements and one cover
+    assert ('"covers": []' in texts[10]) == (kind == "a")
+
+    def dumps(obj, **kwargs):
+        if "indent" in kwargs:
+            raise AssertionError("dumps_document fell back to json.dumps(indent=...)")
+        return json.dumps(obj, **kwargs)
+
+    monkeypatch.setattr(tamari.io, "json", SimpleNamespace(dumps=dumps))
+    for doc, text in zip(docs, texts):
+        assert dumps_document(doc) == text
 
 
 @pytest.mark.parametrize("doc", [
@@ -159,6 +186,14 @@ def test_dot_t2b_counts():
     assert text.count("label=") == 6
     assert text.count("->") == len(p.covers) == 6
     assert text.count("rank=same") == 5
+
+
+def test_dot_labels_escape_backslash_and_quote():
+    labels = ["a\\", 'b"c', 'd\\"e', "plain"]
+    p = Poset.from_covers(labels, [(0, 1)])
+    node = re.compile(r'  n[0-9]+ \[label="((?:[^"\\]|\\.)*)"\];')
+    found = [node.fullmatch(line) for line in poset_to_dot(p).splitlines() if "label=" in line]
+    assert [m and re.sub(r"\\(.)", r"\1", m[1]) for m in found] == labels
 
 
 # -- CLI ------------------------------------------------------------------------------

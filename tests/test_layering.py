@@ -7,11 +7,11 @@
   ``cap``): ``flow.py``; ``gk.py`` asks it for paths and potentials.
 
 numpy only builds the dense views kept for tests and oracles
-(``leq_matrix``, ``strict_matrix``, ``cover_matrix``), so only ``poset.py``
-may import it, and only inside a function: loading the package never loads
-numpy.  No module imports a private name (``_bool_rows``, ``_two_step`` ...)
-from ``poset.py``, or reads a ``_``-prefixed attribute of anything but
-``self`` or ``cls`` that its own source does not define.
+(``leq_matrix``, ``cover_matrix``), so only ``poset.py`` may import it, and
+only inside a function: loading the package never loads numpy.  No module
+imports a private name (``_bool_rows``, ``_two_step`` ...) from
+``poset.py``, or reads a ``_``-prefixed attribute of anything but ``self``
+or ``cls`` that its own source does not define.
 """
 
 import ast

@@ -47,11 +47,13 @@ def dense_topological_order(p: Poset) -> list[int]:
 
 
 def dense_minimal_elements(p: Poset) -> list[int]:
-    return [int(i) for i in np.nonzero(~p.strict_matrix.any(axis=0))[0]]
+    strict = p.leq_matrix & ~np.eye(p.n, dtype=bool)
+    return [int(i) for i in np.nonzero(~strict.any(axis=0))[0]]
 
 
 def dense_maximal_elements(p: Poset) -> list[int]:
-    return [int(i) for i in np.nonzero(~p.strict_matrix.any(axis=1))[0]]
+    strict = p.leq_matrix & ~np.eye(p.n, dtype=bool)
+    return [int(i) for i in np.nonzero(~strict.any(axis=1))[0]]
 
 
 def dense_induced(p: Poset, idx: list[int]) -> np.ndarray:
@@ -157,8 +159,9 @@ def test_dual_shares_what_a_rebuild_derives():
 def test_certificate_lists_flatten_to_the_sorted_covers():
     for p in SAMPLES:
         ups = tamari.poset._cover_certificate(p._up)
-        strict = p.strict_matrix.astype(np.float64)
-        dense = p.strict_matrix & ~((strict @ strict) > 0.5)
+        lt = p.leq_matrix & ~np.eye(p.n, dtype=bool)
+        strict = lt.astype(np.float64)
+        dense = lt & ~((strict @ strict) > 0.5)
         pairs = [(u, v) for u, vs in enumerate(ups) for v in vs]
         assert pairs == [(int(u), int(v)) for u, v in np.argwhere(dense)] == p.covers
 

@@ -137,7 +137,7 @@ def test_lowest_level_recursion():
 def _longest_path_levels(p: Poset) -> dict[str, tuple[int, ...]]:
     """All three level maps from longest chains over the strict relation,
     walked in ascending order of the number of elements below."""
-    strict = p.strict_matrix
+    strict = p.leq_matrix & ~np.eye(p.n, dtype=bool)
     order = sorted(range(p.n), key=lambda v: int(strict[:, v].sum()))
     below, above = [0] * p.n, [0] * p.n
     for v in order:
