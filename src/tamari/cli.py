@@ -147,7 +147,7 @@ def _cmd_lambda(args, parser) -> int:
     print(family.total)
     for i, chain in enumerate(family.chains, start=1):
         body = ",".join(format_vector(p.labels[e]) for e in chain)
-        print(f"chain {i} ({len(chain)} elements): {body}")
+        print(f"chain {i} ({len(chain)} elements):" + (f" {body}" if chain else ""))
     return 0
 
 

@@ -11,11 +11,13 @@ certificate: walking a linear extension from the top, each up-set must be
 the union of the up-sets of its covers, which are found along the way (Aho,
 Garey & Ullman, "The transitive reduction of a directed graph", 1972).  Only
 a relation that fails it is scanned again, row by row, to name the violated
-axiom and a witness.  A dual shares its source's covers, levels and built
-rows, reversed, and builds its other rows when read.  The dense numpy views
-(``leq_matrix``, ``cover_matrix``), kept for tests and oracles, are the
-only code that imports numpy.  Everything here is immutable after
-construction and safe to share between threads.
+axiom and a witness.  The extension it walked, index order whenever that
+is one, is the poset's only one: row closures, levels, ``is_lattice`` and
+``topological_order`` all walk it.  A dual shares its source's covers,
+levels, built rows and extension, reversed, and builds its other rows when
+read.  The dense numpy views (``leq_matrix``, ``cover_matrix``), kept for
+tests and oracles, are the only code that imports numpy.  Everything here
+is immutable after construction and safe to share between threads.
 """
 
 from __future__ import annotations
@@ -85,8 +87,19 @@ def _selected(rows: list[int], idx: list[int]) -> list[int]:
 def _by_up_size(up: list[int]) -> list[int]:
     """The indices in descending up-set size, index order among equals: a
     linear extension of any partial order, since a strictly smaller element
-    has a strictly larger up-set."""
+    has a strictly larger up-set: the certificate's fallback."""
     return sorted(range(len(up)), key=[-row.bit_count() for row in up].__getitem__)
+
+
+def _closure(adjacent: list[list[int]], order: Iterable[int]) -> list[int]:
+    """Row u is u's bit OR the rows of ``adjacent[u]``, which ``order`` lists before u."""
+    rows = [1 << u for u in range(len(adjacent))]
+    for u in order:
+        row = rows[u]
+        for v in adjacent[u]:
+            row |= rows[v]
+        rows[u] = row
+    return rows
 
 
 def is_lattice(p: Poset) -> bool:
@@ -101,8 +114,8 @@ def is_lattice(p: Poset) -> bool:
     if len(p.minimal_elements()) != 1:
         return False
     up = p._up
-    if any(row & -row != 1 << i for i, row in enumerate(up)):  # index order is no linear extension
-        up = _selected(up, _by_up_size(up))
+    if p._extension != range(p.n):  # renumbered along the poset's extension
+        up = _selected(up, p._extension)
     for a in range(p.n):
         for b in range(a + 1, p.n):
             ub = up[a] & up[b]
@@ -111,17 +124,18 @@ def is_lattice(p: Poset) -> bool:
     return True
 
 
-def _cover_certificate(up: list[int]) -> list[list[int]] | None:
-    """Each element's ascending upper covers if the rows form a partial order, else None.
+def _cover_certificate(up: list[int]) -> tuple[list[list[int]], Sequence[int]] | None:
+    """Each element's ascending upper covers and the linear extension they
+    were certified along, if the rows form a partial order, else None.
 
-    The rows are walked down index order (:func:`_walk_covers`); only if that
-    walk fails are they walked again down :func:`_by_up_size`, which is a
-    linear extension of any partial order, so the second walk fails exactly
-    when the relation is not one.
+    The rows are walked down index order (:func:`_walk_covers`), and the
+    extension is ``range(n)``; only if that walk fails are they walked again
+    down :func:`_by_up_size`, which is a linear extension of any partial
+    order, so the second walk fails exactly when the relation is not one.
     """
     ups = _walk_covers(up)
     if ups is not None:
-        return ups
+        return ups, range(len(up))
     order = _by_up_size(up)
     ups = _walk_covers(_selected(up, order))
     if ups is None:
@@ -129,7 +143,7 @@ def _cover_certificate(up: list[int]) -> list[list[int]] | None:
     out: list[list[int]] = [[]] * len(up)
     for i, covers in enumerate(ups):
         out[order[i]] = sorted(order[j] for j in covers)
-    return out
+    return out, order
 
 
 def _walk_covers(rows: list[int]) -> list[list[int]] | None:
@@ -254,17 +268,17 @@ def _first_cycle_pair(succ: list[list[int]]) -> tuple[int, int]:
     return first[0], first[1]
 
 
-def _validate_order(labels: list, up: list[int]) -> list[list[int]]:
-    """Return each element's ascending upper covers in the order the rows give.
+def _validate_order(labels: list, up: list[int]) -> tuple[list[list[int]], Sequence[int]]:
+    """Return the upper covers and the extension of :func:`_cover_certificate`.
 
     A relation that fails the cover certificate is scanned row by row for
     the first violated axiom (reflexivity, then antisymmetry, then
     transitivity) and its first witness in row-major order, which is raised
     as a :class:`PosetError`.
     """
-    ups = _cover_certificate(up)
-    if ups is not None:
-        return ups
+    certified = _cover_certificate(up)
+    if certified is not None:
+        return certified
     for i, row in enumerate(up):
         if not row >> i & 1:
             raise PosetError(
@@ -369,7 +383,7 @@ class Poset:
         # a row's truth values, last first, are the binary digits of its bits
         self.labels = labels
         self._up = [int(bytes(map(bool, row))[::-1].translate(_DIGITS), 2) for row in leq]
-        self._store_covers(_validate_order(labels, self._up))
+        self._certify()
 
     @classmethod
     def _from_rows(cls, labels: Sequence, up: list[int]) -> "Poset":
@@ -378,13 +392,15 @@ class Poset:
         p.labels, p._up = list(labels), up
         if not p.labels:
             raise PosetError("poset needs at least one element", kind="empty")
-        p._store_covers(_validate_order(p.labels, up))
+        p._certify()
         return p
 
-    def _store_covers(self, ups: list[list[int]]) -> None:
-        """Keep the ascending upper covers with the lower covers, which one
-        walk over them in index order gives ascending too; the sorted pairs
-        are derived only when read (:attr:`_cover_pairs`)."""
+    def _certify(self) -> None:
+        """Validate the rows; keep the extension walked and the ascending
+        upper covers with the lower covers, which one walk over them in index
+        order gives ascending too.  The sorted pairs are derived only when
+        read (:attr:`_cover_pairs`)."""
+        ups, self._extension = _validate_order(self.labels, self._up)
         downs: list[list[int]] = [[] for _ in ups]
         for u, vs in enumerate(ups):
             for v in vs:
@@ -436,13 +452,7 @@ class Poset:
                     order.append(v)
         if len(order) < n:
             raise _antisymmetry_error(labels, *_first_cycle_pair(succ))
-        reach = [1 << u for u in range(n)]
-        for u in reversed(order):
-            row = reach[u]
-            for v in succ[u]:
-                row |= reach[v]
-            reach[u] = row
-        return cls._from_rows(labels, reach)
+        return cls._from_rows(labels, _closure(succ, reversed(order)))
 
     # -- basic structure ---------------------------------------------------
 
@@ -469,13 +479,14 @@ class Poset:
         return stray, next((pair for pair in self._cover_pairs if pair not in got), None)
 
     def relabeled(self, labels: Sequence) -> "Poset":
-        """The same order over new labels, one per element; the rows and
-        covers are shared, since they are never mutated."""
+        """The same order over new labels, one per element; the rows, covers
+        and extension are shared, since they are never mutated."""
         labels = list(labels)
         if len(labels) != self.n:
             raise PosetError(f"{len(labels)} labels for {self.n} elements")
         p = Poset.__new__(Poset)
         p.labels, p._up, p._cover_lists = labels, self._up, self._cover_lists
+        p._extension = self._extension
         return p
 
     @cached_property
@@ -503,29 +514,18 @@ class Poset:
     @cached_property
     def _up(self) -> list[int]:
         """Up-set rows (bit j of row i iff i <= j), closed over the upper
-        covers in descending down-set size, a linear extension of the dual.
-        Preset wherever the rows are the input, so only a dual builds them."""
+        covers down the poset's extension.  Preset wherever the rows are the
+        input, so only a dual builds them."""
         ups, _ = self._cover_lists
-        up = [1 << u for u in range(self.n)]
-        for u in _by_up_size(self._down):
-            row = up[u]
-            for v in ups[u]:
-                row |= up[v]
-            up[u] = row
-        return up
+        return _closure(ups, reversed(self._extension))
 
     @cached_property
     def _down(self) -> list[int]:
         """Down-set rows (bit j of row i iff j <= i), closed over the lower
-        covers in descending up-set size, a linear extension."""
+        covers up the poset's extension.  Read only by the isomorphism
+        search, and by a dual as its up rows."""
         _, downs = self._cover_lists
-        down = [1 << v for v in range(self.n)]
-        for v in _by_up_size(self._up):
-            row = down[v]
-            for u in downs[v]:
-                row |= down[u]
-            down[v] = row
-        return down
+        return _closure(downs, self._extension)
 
     def minimal_elements(self) -> list[int]:
         _, downs = self._cover_lists
@@ -564,9 +564,9 @@ class Poset:
         return {lab: i for i, lab in enumerate(self.labels)}
 
     def topological_order(self) -> list[int]:
-        """A linear extension: ascending number of elements below, index tiebreak."""
-        down = self._down
-        return sorted(range(self.n), key=lambda v: (down[v].bit_count(), v))
+        """The poset's one linear extension, which the cover certificate
+        walked: index order whenever that is one; it builds no row."""
+        return list(self._extension)
 
     def __repr__(self) -> str:
         return f"Poset(n={self.n})"
@@ -576,19 +576,17 @@ class Poset:
     @cached_property
     def _level_arrays(self) -> tuple[list[int], list[int]]:
         """Per element, the cover steps of a longest chain below it and of
-        one above it, by longest paths along :func:`_by_up_size`; any linear
-        extension gives the same lengths, and this one reads only the up
-        rows, so no down row is built."""
+        one above it, by longest paths along the poset's extension; any
+        linear extension gives the same lengths, and this one reads no row."""
         up_adj, down_adj = self._cover_lists
-        order = _by_up_size(self._up)
         low = [0] * self.n
-        for u in order:
+        for u in self._extension:
             du = low[u] + 1
             for v in up_adj[u]:
                 if low[v] < du:
                     low[v] = du
         up = [0] * self.n
-        for v in reversed(order):
+        for v in reversed(self._extension):
             dv = up[v] + 1
             for u in down_adj[v]:
                 if up[u] < dv:
@@ -636,10 +634,10 @@ class Poset:
     def dual(self) -> "Poset":
         """Same elements with the order reversed (an involution).  Nothing
         is rebuilt: the dual takes the cover lists, level arrays and rows
-        built here swapped, and builds any other row view, and its sorted
-        cover pairs, when read."""
+        built here swapped and the extension reversed, and builds any other
+        row view, and its sorted cover pairs, when read."""
         d = Poset.__new__(Poset)
-        d.labels = list(self.labels)
+        d.labels, d._extension = list(self.labels), self._extension[::-1]
         d._cover_lists, d._level_arrays = self._cover_lists[::-1], self._level_arrays[::-1]
         for rows, swapped in (("_up", "_down"), ("_down", "_up")):
             if rows in vars(self):

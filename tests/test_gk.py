@@ -272,3 +272,21 @@ def test_antichain_union_t3b():
     fam = max_antichain_union(p, 2)
     check_antichain_family(p, fam)
     assert fam.total == conj[0] + conj[1]
+
+
+# -- footprint ----------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("kind,n", [("b", 6), ("a", 7)])
+@pytest.mark.parametrize("call", [
+    gk_partition,
+    lambda p: chain_union_sizes(p, 2),
+    lambda p: max_chain_union(p, 2),
+    lambda p: max_antichain_union(p, 2),
+], ids=["gk_partition", "chain_union_sizes", "max_chain_union", "max_antichain_union"])
+def test_flow_builds_no_down_rows(kind, n, call):
+    # the network is numbered along the certified extension, which for a
+    # Tamari family is index order: no down row is built for it
+    p = tamari_poset.__wrapped__(kind, n)  # a fresh poset, not the cached one
+    call(p)
+    assert "_down" not in vars(p)

@@ -19,6 +19,7 @@ from tamari.io import (
     poset_document,
     poset_to_dot,
 )
+from tamari.lattices import family_size
 from tamari.theorems import shifted_level_map, verify_level_sums
 
 
@@ -429,6 +430,19 @@ def test_cli_lambda_answers_k_equal_to_the_element_count(capsys):
     head, *chains = capsys.readouterr().out.splitlines()
     assert head == "20"
     assert len(chains) == 20
+
+
+def test_cli_lambda_k_lines_end_without_a_space(capsys):
+    for kind in "ab":
+        for n in range(1, 6):
+            for k in (1, 2, 3, 4):
+                if k <= family_size(kind, n):
+                    argv = ["lambda", "--type", kind, "--n", str(n), "--k", str(k)]
+                    assert tamari.cli.main(argv) == 0
+                    lines = capsys.readouterr().out.splitlines()
+                    assert not [line for line in lines if line.endswith(" ")], (kind, n, k)
+    assert tamari.cli.main(["lambda", "--type", "a", "--n", "2", "--k", "2"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "chain 2 (0 elements):"
 
 
 @pytest.mark.parametrize("text, message", [

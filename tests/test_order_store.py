@@ -3,7 +3,9 @@
 Each ``dense_*`` function below is the earlier matrix implementation of a
 ``Poset`` reader, kept here as a reference; the row-based readers must agree
 with it exactly on random posets, index-shuffled copies and the Tamari
-families.  ``find_isomorphism`` is cross-checked against networkx on Hasse
+families.  ``topological_order`` is checked to be a linear extension of the
+dense order instead, since it returns the one the certificate walked.
+``find_isomorphism`` is cross-checked against networkx on Hasse
 diagrams, and a guard test shows that no valid-input path unpacks the order
 into a dense matrix.
 """
@@ -41,9 +43,11 @@ from tamari.theorems import shifted_level_map
 # -- dense references ------------------------------------------------------------
 
 
-def dense_topological_order(p: Poset) -> list[int]:
-    below = p.leq_matrix.sum(axis=0)
-    return sorted(range(p.n), key=lambda v: (int(below[v]), v))
+def dense_is_linear_extension(p: Poset, order: list[int]) -> bool:
+    """Whether ``order`` lists each element once, after every element below it."""
+    if sorted(order) != list(range(p.n)):
+        return False
+    return not np.tril(p.leq_matrix[np.ix_(order, order)], -1).any()
 
 
 def dense_minimal_elements(p: Poset) -> list[int]:
@@ -109,8 +113,12 @@ SAMPLES = sample_posets()
 
 
 def test_topological_order_matches_dense():
+    # the certified extension: index order exactly when that is one
     for p in SAMPLES:
-        assert p.topological_order() == dense_topological_order(p)
+        order = p.topological_order()
+        assert dense_is_linear_extension(p, order)
+        assert (order == list(range(p.n))) == dense_is_linear_extension(p, list(range(p.n)))
+        assert p.dual().topological_order() == order[::-1]
 
 
 def test_extremal_elements_match_dense():
@@ -135,7 +143,8 @@ def test_dual_matches_dense():
     for p in SAMPLES:
         d = p.dual()
         assert (d.leq_matrix == dense_dual(p)).all()
-        assert d.topological_order() == dense_topological_order(d)
+        assert dense_is_linear_extension(d, d.topological_order())
+        assert d.topological_order() == p.topological_order()[::-1]
         assert (d.dual().leq_matrix == p.leq_matrix).all()
 
 
@@ -158,7 +167,8 @@ def test_dual_shares_what_a_rebuild_derives():
 
 def test_certificate_lists_flatten_to_the_sorted_covers():
     for p in SAMPLES:
-        ups = tamari.poset._cover_certificate(p._up)
+        ups, order = tamari.poset._cover_certificate(p._up)
+        assert list(order) == p.topological_order()
         lt = p.leq_matrix & ~np.eye(p.n, dtype=bool)
         strict = lt.astype(np.float64)
         dense = lt & ~((strict @ strict) > 0.5)

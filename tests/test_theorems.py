@@ -462,6 +462,29 @@ def test_is_lattice_agrees_with_pairwise_reference():
     assert 0 < sum(outcomes) < len(outcomes)
 
 
+def test_is_lattice_of_a_dual_agrees_with_pairwise_reference():
+    # the posets above, dualized: each is read along its source's extension reversed
+    rng = random.Random(2718)
+    outcomes = []
+    for _ in range(400):
+        p = random_poset(rng, rng.randint(1, 12), rng.choice((0.1, 0.2, 0.35, 0.5)))
+        for q in (p, _with_bounds(p)):
+            perm = rng.sample(range(q.n), q.n)
+            d = Poset(perm, q.leq_matrix[np.ix_(perm, perm)]).dual()
+            expected = _pairwise_is_lattice(d)
+            assert is_lattice(d) == expected
+            outcomes.append(expected)
+    assert 0 < sum(outcomes) < len(outcomes)
+
+
+@pytest.mark.parametrize("kind", ["a", "b"])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_tamari_duals_are_lattices(kind, n):
+    # a dual's extension is reversed index order, so its rows are renumbered
+    d = tamari_poset(kind, n).dual()
+    assert is_lattice(d)
+
+
 @pytest.mark.parametrize("kind,n", [("b", 6), ("a", 7)])
 def test_larger_tamari_posets_are_lattices(kind, n):
     assert is_lattice(tamari_poset(kind, n))
