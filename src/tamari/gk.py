@@ -26,7 +26,7 @@ too, so every flow answer can be cross-checked by an independent search.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, chain
 
 from .flow import MinCostFlow
 from .poset import Poset
@@ -90,22 +90,20 @@ class _ChainNetwork:
     T = 1
 
     def __init__(self, p: Poset):
-        order = p.topological_order()
         n = p.n
-        rank = {v: r for r, v in enumerate(order)}
         net = MinCostFlow(2 + 2 * n)
         profit: list[int] = []
-        for r in range(n):
-            net.add_arc(self.S, 2 + 2 * r, _BIG, 0)
-            profit.append(net.add_arc(2 + 2 * r, 3 + 2 * r, 1, -1))
-            net.add_arc(2 + 2 * r, 3 + 2 * r, _BIG, 0)  # free bypass
-            net.add_arc(3 + 2 * r, self.T, _BIG, 0)
-        for ru, rv in sorted((rank[u], rank[v]) for u, v in p.covers):
-            net.add_arc(3 + 2 * ru, 2 + 2 * rv, _BIG, 0)
-        # element nodes are numbered in topological order, in before out
-        net.init_potentials([self.S, *range(2, 2 + 2 * n), self.T], self.S)
+        for v in range(n):  # element v owns nodes 2 + 2v (in) and 3 + 2v (out)
+            net.add_arc(self.S, 2 + 2 * v, _BIG, 0)
+            profit.append(net.add_arc(2 + 2 * v, 3 + 2 * v, 1, -1))
+            net.add_arc(2 + 2 * v, 3 + 2 * v, _BIG, 0)  # free bypass
+            net.add_arc(3 + 2 * v, self.T, _BIG, 0)
+        for u, v in p.covers:
+            net.add_arc(3 + 2 * u, 2 + 2 * v, _BIG, 0)
+        # the potential pass lists the element nodes along the extension, in before out
+        nodes = chain.from_iterable((2 + 2 * v, 3 + 2 * v) for v in p.topological_order())
+        net.init_potentials([self.S, *nodes, self.T], self.S)
         self.net = net
-        self.order = order
         self.profit_arcs = profit
         self.first_gain = p.longest_chain_length() + 1
 
@@ -139,7 +137,7 @@ class _ChainNetwork:
         internal error, not data.
         """
         gains: list[int] = []
-        left = len(self.order)
+        left = len(self.profit_arcs)  # one per element
         while len(gains) < limit and left > 0:
             gain, sent = self.phase(limit - len(gains), floor)
             if not gains and gain != self.first_gain:
@@ -157,11 +155,10 @@ class _ChainNetwork:
         return gains
 
     def decompose(self, k: int) -> list[list[int]]:
-        """Peel the k unit paths off the flow; chains as original element indices."""
-        profit_rank = {a: r for r, a in enumerate(self.profit_arcs)}
+        """Peel the k unit paths off the flow; chains as element indices."""
+        element = {a: v for v, a in enumerate(self.profit_arcs)}
         return [
-            [self.order[profit_rank[a]] for a in self.net.peel_path(self.S, self.T)
-             if a in profit_rank]
+            [element[a] for a in self.net.peel_path(self.S, self.T) if a in element]
             for _ in range(k)
         ]
 
@@ -236,11 +233,11 @@ def max_antichain_union(p: Poset, k: int) -> AntichainFamily:
     cap = max(0, before[network.S] - before[network.T] - k)
     pi_k = [b - min(b - x, cap) for b, x in zip(before, network.net.potential)]
     groups: dict[int, list[int]] = {}
-    for r, v in enumerate(network.order):
-        if pi_k[2 + 2 * r] - pi_k[3 + 2 * r] >= 1:
-            groups.setdefault(pi_k[2 + 2 * r], []).append(v)
+    for v in range(p.n):
+        if pi_k[2 + 2 * v] - pi_k[3 + 2 * v] >= 1:
+            groups.setdefault(pi_k[2 + 2 * v], []).append(v)
     # potentials fall going up the order, so the lowest antichain comes first
-    chosen = [sorted(groups[key]) for key in sorted(groups, reverse=True)]
+    chosen = [groups[key] for key in sorted(groups, reverse=True)]
     total = sum(len(a) for a in chosen)
     if len(chosen) > k or total != p.n - sum(g - k for g in gains):
         raise RuntimeError("constructed antichain family misses the certified total")

@@ -218,27 +218,30 @@ def _antisymmetry_error(labels: list, i: int, j: int) -> PosetError:
     )
 
 
-def _first_cycle_pair(succ: list[list[int]]) -> tuple[int, int]:
-    """For a digraph with a cycle, the least node i on a cycle and the least
-    other member of its strongly connected component: the first mutually
-    related pair of the closure in row-major order.
+def _closing_order(succ: list[list[int]]) -> tuple[list[int], tuple[int, int] | None]:
+    """The nodes in the order Tarjan's algorithm (1972), run iteratively,
+    closes their strongly connected components, and the least node i on a
+    cycle with the least other member of its component, None for an
+    acyclic digraph: the first mutually related pair of the closure in
+    row-major order.
 
-    The components come from Tarjan's algorithm (1972), run iteratively, so
-    the cost is linear in the arcs.
+    A component closes only after every component it reaches, so without a
+    cycle each node comes after all of its successors, the order
+    :func:`_closure` needs.  The cost is linear in the arcs.
     """
-    index = [-1] * len(succ)
-    low = [0] * len(succ)
-    on_stack = [False] * len(succ)
+    n = len(succ)
+    index = [-1] * n  # n once the node's component has closed
+    low = [0] * n
     stack: list[int] = []
+    closed: list[int] = []
     cyclic: list[list[int]] = []
     count = 0
-    for root in range(len(succ)):
+    for root in range(n):
         if index[root] >= 0:
             continue
         index[root] = low[root] = count
         count += 1
         stack.append(root)
-        on_stack[root] = True
         work = [(root, iter(succ[root]))]
         while work:
             v, todo = work[-1]
@@ -247,25 +250,23 @@ def _first_cycle_pair(succ: list[list[int]]) -> tuple[int, int]:
                     index[w] = low[w] = count
                     count += 1
                     stack.append(w)
-                    on_stack[w] = True
                     work.append((w, iter(succ[w])))
                     break
-                if on_stack[w] and index[w] < low[v]:
+                if index[w] < low[v]:  # w is on the stack, as a closed index is n
                     low[v] = index[w]
             else:
                 work.pop()
                 if work and low[v] < low[work[-1][0]]:
                     low[work[-1][0]] = low[v]
-                if low[v] == index[v]:  # v roots a component: pop it
-                    component = []
-                    while not component or component[-1] != v:
+                if low[v] == index[v]:  # v roots a component: close it
+                    size = len(closed)
+                    while not closed or closed[-1] != v:
                         w = stack.pop()
-                        on_stack[w] = False
-                        component.append(w)
-                    if len(component) > 1:
-                        cyclic.append(sorted(component))
-    first = min(cyclic)
-    return first[0], first[1]
+                        index[w] = n
+                        closed.append(w)
+                    if len(closed) - size > 1:
+                        cyclic.append(sorted(closed[size:]))
+    return closed, tuple(min(cyclic)[:2]) if cyclic else None
 
 
 def _validate_order(labels: list, up: list[int]) -> tuple[list[list[int]], Sequence[int]]:
@@ -433,26 +434,20 @@ class Poset:
         Each pair must be two integer element indices.  Redundant pairs
         (implied by longer paths) are accepted and dropped; a cycle is
         rejected as an antisymmetry violation naming the least element on a
-        cycle and the least other element on a cycle through it.
+        cycle and the least other element on a cycle through it.  One
+        search, :func:`_closing_order`, gives both the closure order and
+        that witness.
         """
         labels = list(labels)
         n = len(labels)
         succ: list[list[int]] = [[] for _ in range(n)]
-        indegree = [0] * n
         for u, v in _index_pairs(covers, n):
             if u != v:
                 succ[u].append(v)
-                indegree[v] += 1
-        # Kahn's sort; what it never reaches lies on or above a cycle
-        order = [u for u in range(n) if indegree[u] == 0]
-        for u in order:
-            for v in succ[u]:
-                indegree[v] -= 1
-                if indegree[v] == 0:
-                    order.append(v)
-        if len(order) < n:
-            raise _antisymmetry_error(labels, *_first_cycle_pair(succ))
-        return cls._from_rows(labels, _closure(succ, reversed(order)))
+        order, cycle = _closing_order(succ)
+        if cycle is not None:
+            raise _antisymmetry_error(labels, *cycle)
+        return cls._from_rows(labels, _closure(succ, order))
 
     # -- basic structure ---------------------------------------------------
 

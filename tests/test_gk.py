@@ -290,3 +290,43 @@ def test_flow_builds_no_down_rows(kind, n, call):
     p = tamari_poset.__wrapped__(kind, n)  # a fresh poset, not the cached one
     call(p)
     assert "_down" not in vars(p)
+
+
+# -- posets whose extension is not index order ----------------------------------------------
+
+
+def _unordered_copies() -> list[tuple[Poset, Poset]]:
+    """(source, copy) pairs where the copy's extension is not index order:
+    duals of Tamari lattices, and label-shuffled ``from_covers`` copies of
+    seeded random posets, which the certificate orders by up-set size."""
+    pairs = [(p, p.dual()) for p in (tamari_poset("b", 4), tamari_poset("b", 5), tamari_poset("a", 5))]
+    rng = random.Random(2501)
+    for _ in range(12):
+        src = random_poset(rng, rng.randint(6, 10))
+        perm = list(range(src.n))
+        rng.shuffle(perm)
+        pairs.append((src, Poset.from_covers(range(src.n), [(perm[u], perm[v]) for u, v in src.covers])))
+    return pairs
+
+
+UNORDERED = _unordered_copies()
+
+
+@pytest.mark.parametrize("src,q", UNORDERED, ids=[f"{i}-n{q.n}" for i, (_, q) in enumerate(UNORDERED)])
+def test_flow_on_posets_not_in_index_order(src, q):
+    assert q.topological_order() != list(range(q.n))
+    assert gk_partition(q) == gk_partition(src)
+    for k in (1, 2, 3):
+        chains = max_chain_union(q, k)
+        check_chain_family(q, chains)
+        assert chains.total == max_chain_union(src, k).total
+        antichains = max_antichain_union(q, k)
+        check_antichain_family(q, antichains)
+        assert antichains.total == max_antichain_union(src, k).total
+    # element v owns nodes 2 + 2v (in) and 3 + 2v (out), whatever the extension
+    network = _ChainNetwork(q)
+    net = network.net
+    assert [net.to[a] for a in network.profit_arcs] == [3 + 2 * v for v in range(q.n)]
+    for u in range(q.n):
+        heads = sorted(net.to[a] for a in net.adj[3 + 2 * u] if a % 2 == 0)
+        assert heads == [network.T] + [2 + 2 * v for x, v in q.covers if x == u]

@@ -432,6 +432,55 @@ def test_isomorphism_matches_networkx_on_tamari_duals(n):
     check_isomorphism(sub, sub.dual())
 
 
+def _counting_refinement(monkeypatch) -> list:
+    """Record what each call of the colour refinement returns."""
+    results = []
+    refine = tamari.poset._refine_colors
+
+    def counted(p, q):
+        results.append(refine(p, q))
+        return results[-1]
+
+    monkeypatch.setattr(tamari.poset, "_refine_colors", counted)
+    return results
+
+
+def test_backtracking_proves_crowns_non_isomorphic(monkeypatch):
+    # one 8-element crown against two 4-element crowns: every element has the
+    # same chain lengths, degrees and stable colour, so only the exhausted
+    # backtracking can answer
+    big = Poset.from_covers(range(8), [(i, 4 + j) for i in range(4) for j in (i, (i + 1) % 4)])
+    two = Poset.from_covers(range(8), [(0, 4), (0, 5), (1, 4), (1, 5), (2, 6), (2, 7), (3, 6), (3, 7)])
+    results = _counting_refinement(monkeypatch)
+    check_isomorphism(big, two)
+    assert find_isomorphism(big, two) is None
+    assert len(results) == 2 and all(r is not None for r in results)
+
+
+def test_refinement_round_splits_the_histograms(monkeypatch):
+    # the same (down-set, up-set, lower-cover, upper-cover) counts on both
+    # sides; only a refinement round sees that the big maximum of p covers
+    # the big minimum while q's covers two small ones
+    p = Poset.from_covers(range(6), [(0, 3), (0, 4), (1, 3), (2, 5)])
+    q = Poset.from_covers(range(6), [(0, 3), (0, 4), (1, 5), (2, 5)])
+
+    def first_colours(r):
+        return sorted(
+            (sum(r.leq(j, v) for j in range(r.n)), sum(r.leq(v, j) for j in range(r.n)),
+             sum(1 for _, w in r.covers if w == v), sum(1 for u, _ in r.covers if u == v))
+            for v in range(r.n)
+        )
+
+    def chain_lengths(r):
+        return sorted(zip(r.level_map("lowest").levels, r.level_map("highest").levels))
+
+    assert first_colours(p) == first_colours(q)
+    assert chain_lengths(p) == chain_lengths(q)
+    results = _counting_refinement(monkeypatch)
+    check_isomorphism(p, q)
+    assert results == [None]
+
+
 # -- no dense unpacking on any valid input --------------------------------------------
 
 

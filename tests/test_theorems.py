@@ -1,3 +1,4 @@
+import json
 import random
 
 import numpy as np
@@ -31,7 +32,8 @@ from tamari import (
     verify_level_sums,
     verify_structure,
 )
-from tamari.poset import LevelAssignment
+from tamari.io import dumps_report
+from tamari.poset import LevelAssignment, LeveledSubposet
 from test_flow import T8B_RECORDED
 
 GOLDEN_FIRST_4 = [
@@ -242,19 +244,24 @@ def test_lambda2_runs_no_flow(monkeypatch, n):
 # -- mutated inputs of the thm1 certificate -------------------------------------------
 
 
-def _patch_shifted_levels(monkeypatch, mutate):
-    """Let ``mutate(p, levels)`` edit the shifted level list verify_lambda2 reads."""
+def _patch_levels(monkeypatch, edited, mutate):
+    """Let ``mutate(p, levels)`` edit the level list of mode ``edited``."""
     level_map = Poset.level_map
 
     def patched(self, mode="lowest"):
         assignment = level_map(self, mode)
-        if mode != "shifted":
+        if mode != edited:
             return assignment
         levels = list(assignment.levels)
         mutate(self, levels)
         return LevelAssignment(tuple(levels), mode)
 
     monkeypatch.setattr(Poset, "level_map", patched)
+
+
+def _patch_shifted_levels(monkeypatch, mutate):
+    """Let ``mutate(p, levels)`` edit the shifted level list verify_lambda2 reads."""
+    _patch_levels(monkeypatch, "shifted", mutate)
 
 
 def _first_comparable(p, members):
@@ -343,6 +350,99 @@ def test_lambda2_refutes_chains_short_of_the_two_chain_bound(monkeypatch):
     report = verify_lambda2(4)
     assert report.status == REFUTED
     assert report.witness == ["chains total 28, but the fibers bound two chains by 29"]
+
+
+# -- refutations of lemma1 and remarks, and the level maps' internal checks ---------------
+
+
+@pytest.mark.parametrize("leveled", [True, False])
+def test_level_sums_refuted_report_carries_its_witness(monkeypatch, leveled):
+    n = 4
+    p = tamari_poset("b", n)
+    members = set(p.leveled_subposet().members)
+    x = next(i for i in range(p.n) if (i in members) == leveled)
+    # a leveled element must sit at its entry sum, any other at most there
+    wrong = entry_sum(p.labels[x]) + 1
+
+    def bump(_, lv):
+        lv[x] = wrong
+
+    _patch_levels(monkeypatch, "lowest", bump)
+    report = verify_level_sums(n)
+    assert report.status == REFUTED
+    witness = {
+        "element": format_vector(p.labels[x]),
+        "level": wrong,
+        "entry_sum": wrong - 1,
+        "leveled": leveled,
+    }
+    assert report.witness == witness
+    assert json.loads(dumps_report(report)) == {
+        "claim": "lemma1", "n": n, "status": REFUTED, "witness": witness
+    }
+
+
+def test_structure_refutes_a_self_dual_t_n_b(monkeypatch):
+    n = 3
+    size = tamari_poset("b", n).n
+    real = tamari.theorems.find_isomorphism
+    monkeypatch.setattr(tamari.theorems, "find_isomorphism",
+                        lambda p, q: list(range(p.n)) if p.n == size else real(p, q))
+    duality, core, _ = verify_structure(n)
+    assert (duality.claim, duality.status) == ("remarks.self_duality", REFUTED)
+    assert duality.witness == list(range(size))
+    assert core.status == VERIFIED
+    assert json.loads(dumps_report(duality))["witness"] == list(range(size))
+
+
+def test_structure_refutes_a_leveled_core_with_no_isomorphism(monkeypatch):
+    monkeypatch.setattr(tamari.theorems, "find_isomorphism", lambda p, q: None)
+    duality, core, _ = verify_structure(3)
+    assert duality.status == VERIFIED and duality.data == {"self_dual": False}
+    assert (core.claim, core.status) == ("remarks.leveled_self_duality", REFUTED)
+    assert core.witness == {"reason": "exhaustive search found no order isomorphism"}
+    assert core.data is None
+
+
+def test_structure_refutes_the_leveled_level_sizes_at_n5(monkeypatch):
+    leveled_subposet = Poset.leveled_subposet
+
+    def one_level(self):
+        real = leveled_subposet(self)
+        return LeveledSubposet(real.members, dict.fromkeys(real.members, 0), real.poset)
+
+    monkeypatch.setattr(Poset, "leveled_subposet", one_level)
+    *_, sizes = verify_structure(5)
+    assert (sizes.claim, sizes.status) == ("remarks.leveled_level_sizes", REFUTED)
+    assert sizes.witness == {64: 1}  # all 64 members on one level
+    assert json.loads(dumps_report(sizes))["witness"] == {"64": 1}
+
+
+def test_shifted_level_map_rejects_a_comparable_fiber(monkeypatch):
+    p = tamari_poset("b", 4)
+
+    def flatten(_, lv):
+        lv[:] = [0] * len(lv)
+
+    _patch_shifted_levels(monkeypatch, flatten)
+    a, b = p.first_comparable_pair(range(p.n))  # of the one fiber, which holds everything
+    with pytest.raises(RuntimeError) as err:
+        shifted_level_map(p)
+    assert str(err.value) == f"shifted fiber is not an antichain: {p.labels[a]!r} <= {p.labels[b]!r}"
+
+
+def test_antichain_partition_rejects_a_wrong_fiber_count(monkeypatch):
+    n = 4
+
+    def split(p, lv):
+        # a member of the first fiber with two or more moves to a level of its
+        # own: every fiber stays an antichain, but there is one fiber too many
+        first = next(level for level in sorted(set(lv)) if lv.count(level) > 1)
+        lv[lv.index(first)] = max(lv) + 1
+
+    _patch_shifted_levels(monkeypatch, split)
+    with pytest.raises(RuntimeError, match=f"expected {n * n + 1} fibers, got {n * n + 2}"):
+        antichain_partition(n)
 
 
 def test_lambda2_skipped_below_hypothesis():
