@@ -1,10 +1,10 @@
 """Minimum-cost flow by primal-dual phases with integer potentials.
 
 Arcs are stored in pairs: arc ``2k`` is the forward arc, arc ``2k+1`` its
-zero-capacity residual reverse.  The solver assumes an acyclic network whose
-only negative costs sit on forward arcs, which is all the chain-packing
-reduction needs: one exact single-pass relaxation in topological node order
-establishes initial potentials.
+zero-capacity residual reverse.  The caller gives the starting potentials,
+one integer per node, when the network is built; every residual arc must
+start with a nonnegative reduced cost ``cost + pi[u] - pi[v]``.  The chain
+reduction reads them off the poset's levels.
 
 Each phase then runs one Dijkstra on reduced costs (nonnegative by the usual
 invariant), rooted at the sink and run over reverse residual arcs, which
@@ -12,12 +12,12 @@ lowers the potentials so that every cheapest s->t path uses only arcs of
 zero reduced cost, followed by a maximum flow on that zero-reduced-cost
 residual subgraph (Ahuja, Magnanti & Orlin, *Network Flows*, 1993, ch. 9).
 The potentials are thus distances *to* the sink, and no arc into a node at
-least as far from t as s turns tight.  Distances *from* the source
-would make every node that is nearer to s than t is reachable from s over
-zero-reduced-cost arcs, and each augmenting-path search would wander
-through that region's dead ends.  Reduced distances are small nonnegative
-integers, so the Dijkstra pops nodes from Dial's bucket queue (*CACM* 12,
-1969), one list per distance; the maximum flow is found by repeated
+least as far from t as s turns tight.  Were they distances *from* the
+source, every node at a smaller distance from s than t would be reachable
+from s over zero-reduced-cost arcs, and each augmenting-path search would
+wander through that region's dead ends.  Reduced distances are small
+nonnegative integers, so the Dijkstra pops nodes from Dial's bucket queue
+(*CACM* 12, 1969), one list per distance; the maximum flow is found by repeated
 augmenting-path searches over the arcs whose reduced cost is zero, tested
 as they are scanned.  Every unit sent in one phase has the same cost, and
 after the phase the cheapest s->t cost has strictly risen.  All costs and
@@ -30,13 +30,15 @@ _UNREACHED = 1 << 62  # above every distance; ints keep bucket indices exact
 
 
 class MinCostFlow:
-    def __init__(self, num_nodes: int):
-        self.n = num_nodes
-        self.adj: list[list[int]] = [[] for _ in range(num_nodes)]
+    def __init__(self, potential: list[int]):
+        """A network with one node per entry of ``potential``, its feasible
+        starting potentials, and no arcs yet."""
+        self.n = len(potential)
+        self.adj: list[list[int]] = [[] for _ in potential]
         self.to: list[int] = []
         self.cap: list[int] = []
         self.cost: list[int] = []
-        self.potential: list[int] | None = None
+        self.potential = potential
 
     def add_arc(self, u: int, v: int, cap: int, cost: int) -> int:
         a = len(self.to)
@@ -76,29 +78,6 @@ class MinCostFlow:
             u = self.to[a]
         return path
 
-    def init_potentials(self, topo_nodes: list[int], source: int) -> None:
-        """Exact shortest-path distances on the initial DAG, one pass.
-
-        Every node must be reachable from ``source``: a bucket queue indexes
-        by reduced distance, which needs a finite potential everywhere.
-        """
-        dist = [_UNREACHED] * self.n
-        dist[source] = 0
-        for u in topo_nodes:
-            du = dist[u]
-            if du == _UNREACHED:
-                continue
-            for a in self.adj[u]:
-                if self.cap[a] <= 0:
-                    continue
-                v = self.to[a]
-                nd = du + self.cost[a]
-                if nd < dist[v]:
-                    dist[v] = nd
-        if _UNREACHED in dist:
-            raise RuntimeError(f"node {dist.index(_UNREACHED)} is unreachable from the source")
-        self.potential = dist
-
     def cheapest_path(self, s: int, t: int) -> int | None:
         """Dijkstra on reduced costs, rooted at ``t``; returns the cheapest
         s->t cost, or None.
@@ -115,8 +94,6 @@ class MinCostFlow:
         tight and the searches from ``s`` are not led into it.
         """
         pi = self.potential
-        if pi is None:
-            raise RuntimeError("init_potentials must run before augmenting")
         adj, to, cap, cost = self.adj, self.to, self.cap, self.cost
         dist = [_UNREACHED] * self.n
         dist[t] = 0
@@ -156,8 +133,6 @@ class MinCostFlow:
         number of units sent.
         """
         pi = self.potential
-        if pi is None:
-            raise RuntimeError("init_potentials must run before augmenting")
         adj, to, cap, cost = self.adj, self.to, self.cap, self.cost
         seen = [0] * self.n  # stamp of the last search that entered each node
         sent = 0

@@ -26,7 +26,7 @@ too, so every flow answer can be cross-checked by an independent search.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate, chain
+from itertools import accumulate
 
 from .flow import MinCostFlow
 from .poset import Poset
@@ -67,6 +67,8 @@ class GKPartition:
         return sum(self.parts)
 
     def prefix(self, k: int) -> int:
+        if k < 0:
+            raise ValueError("k must be at least 0")
         return sum(self.parts[:k])
 
     def conjugate(self) -> tuple[int, ...]:
@@ -90,22 +92,26 @@ class _ChainNetwork:
     T = 1
 
     def __init__(self, p: Poset):
-        n = p.n
-        net = MinCostFlow(2 + 2 * n)
+        # Exact distances from S start the flow.  The profit arc is the only
+        # arc with a nonzero cost, and a cover path of low[v] steps is the
+        # longest one ending at v, so v_in lies at -low[v], v_out at
+        # -low[v] - 1 and T at minus the longest chain's size.
+        low = p.level_map("lowest").levels
+        self.first_gain = max(low) + 1
+        potential = [0, -self.first_gain]
+        for lv in low:
+            potential += (-lv, -lv - 1)
+        net = MinCostFlow(potential)
         profit: list[int] = []
-        for v in range(n):  # element v owns nodes 2 + 2v (in) and 3 + 2v (out)
+        for v in range(p.n):  # element v owns nodes 2 + 2v (in) and 3 + 2v (out)
             net.add_arc(self.S, 2 + 2 * v, _BIG, 0)
             profit.append(net.add_arc(2 + 2 * v, 3 + 2 * v, 1, -1))
             net.add_arc(2 + 2 * v, 3 + 2 * v, _BIG, 0)  # free bypass
             net.add_arc(3 + 2 * v, self.T, _BIG, 0)
         for u, v in p.covers:
             net.add_arc(3 + 2 * u, 2 + 2 * v, _BIG, 0)
-        # the potential pass lists the element nodes along the extension, in before out
-        nodes = chain.from_iterable((2 + 2 * v, 3 + 2 * v) for v in p.topological_order())
-        net.init_potentials([self.S, *nodes, self.T], self.S)
         self.net = net
         self.profit_arcs = profit
-        self.first_gain = p.longest_chain_length() + 1
 
     def phase(self, limit: int, floor: int = 0) -> tuple[int, int]:
         """One primal-dual phase: (marginal gain per unit, units sent).
@@ -117,7 +123,7 @@ class _ChainNetwork:
         which guarantees every decomposed path is nonempty.
         """
         # the dual this phase lowers; no copy is needed, as cheapest_path
-        # and init_potentials always bind a new list and never write into one
+        # always binds a new list and never writes into one
         self.start_potential = self.net.potential
         cost = self.net.cheapest_path(self.S, self.T)
         if cost is None:

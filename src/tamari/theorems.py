@@ -134,7 +134,7 @@ def _leveled_labels(n: int) -> frozenset[Vector]:
 def verify_disjoint(c1: Sequence[Vector], c2: Sequence[Vector]) -> VerificationReport:
     """Report whether two chains share no element; witnesses any overlap."""
     shared = sorted(set(c1) & set(c2))
-    n = len(c1[0]) if c1 else 0
+    n = len(c1[0] if c1 else c2[0] if c2 else ())
     if shared:
         return VerificationReport(
             "chains_disjoint",

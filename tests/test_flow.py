@@ -102,9 +102,8 @@ def test_phase_reroutes_through_a_reverse_arc():
     """The first search takes s-a-b-t; the second unit can then only run
     s-b, back over the reverse of a->b, then a-t."""
     s, a, b, t = range(4)
-    net = MinCostFlow(4)
+    net = MinCostFlow([0, 0, 0, 0])  # every arc is free, so every distance is 0
     arcs = [net.add_arc(u, v, 1, 0) for u, v in ((s, a), (s, b), (a, b), (a, t), (b, t))]
-    net.init_potentials([s, a, b, t], s)
     assert net.cheapest_path(s, t) == 0
     assert net.push_phase(s, t, 5) == 2
     assert [net.flow_on(x) for x in arcs] == [1, 1, 0, 1, 1]
@@ -128,11 +127,11 @@ def test_phase_searches_skip_a_dead_end_beside_the_source():
     is, but reaches t only back through s; sink-rooted potentials leave s->d
     untight, so the second unit runs s-b-t without entering d or e."""
     s, a, d, t, e, b = range(6)
-    net = MinCostFlow(6)
+    # distances from s: d is reached free over a, and t at -2 over d
+    net = MinCostFlow([0, 0, 0, -2, 0, 0])
     for u, v, cap, cost in ((s, d, 1, 1), (s, a, 1, 0), (a, d, 1, 0), (d, t, 1, -2),
                             (d, e, 1, 0), (s, b, 1, 0), (b, t, 1, 0)):
         net.add_arc(u, v, cap, cost)
-    net.init_potentials([s, a, b, d, e, t], s)
     assert net.cheapest_path(s, t) == -2
     assert net.push_phase(s, t, 5) == 1
     assert net.cheapest_path(s, t) == 0
@@ -140,13 +139,6 @@ def test_phase_searches_skip_a_dead_end_beside_the_source():
     assert net.push_phase(s, t, 5) == 1
     assert recorded.iterations == 0
     assert [net.flow_on(x) for x in range(0, len(net.to), 2)] == [0, 1, 1, 1, 0, 1, 1]
-
-
-def test_init_potentials_rejects_an_unreachable_node():
-    net = MinCostFlow(3)
-    net.add_arc(0, 1, 1, 0)
-    with pytest.raises(RuntimeError, match="node 2 is unreachable"):
-        net.init_potentials([0, 1, 2], 0)
 
 
 def test_limit_cuts_phases_mid_run():
@@ -187,6 +179,42 @@ def test_full_phases_keep_unit_arcs_binary():
     fam = max_chain_union(p, 5)
     check_chain_family(p, fam)
     assert fam.total == 17 + 12 + 9 + 8 + 6
+
+
+def _networkx_start_potentials(p) -> list[int]:
+    """Distances from S in the chain network, by networkx's Bellman-Ford.
+
+    The graph is built from the covers alone, numbered as the network is
+    (S = 0, T = 1, element v in at 2 + 2v and out at 3 + 2v); the parallel
+    profit and bypass arcs of an element become one edge of cost -1.
+    """
+    g = nx.DiGraph()
+    for v in range(p.n):
+        g.add_edge(0, 2 + 2 * v, weight=0)
+        g.add_edge(2 + 2 * v, 3 + 2 * v, weight=-1)
+        g.add_edge(3 + 2 * v, 1, weight=0)
+    for u, v in p.covers:
+        g.add_edge(3 + 2 * u, 2 + 2 * v, weight=0)
+    dist = nx.single_source_bellman_ford_path_length(g, 0)
+    return [dist[x] for x in range(2 + 2 * p.n)]
+
+
+def _start_potentials_posets():
+    rng = random.Random(2626)
+    for _ in range(40):
+        p = random_poset(rng, rng.randint(1, 40), rng.choice([0.05, 0.1, 0.2, 0.35]))
+        yield p
+        yield p.dual()  # its extension is index order reversed
+    for kind in ("a", "b"):
+        for n in range(1, 7):
+            yield tamari_poset(kind, n)
+            yield tamari_poset(kind, n).dual()
+
+
+def test_start_potentials_are_the_networkx_distances():
+    """The potentials read off the levels are the exact distances from S."""
+    for p in _start_potentials_posets():
+        assert _ChainNetwork(p).net.potential == _networkx_start_potentials(p)
 
 
 # -- networkx cross-check ------------------------------------------------------

@@ -75,6 +75,13 @@ def test_partition_validation():
         GKPartition((3, 0))
 
 
+def test_prefix_rejects_a_negative_k():
+    part = GKPartition((3, 2, 1))
+    assert [part.prefix(k) for k in range(5)] == [0, 3, 5, 6, 6]
+    with pytest.raises(ValueError, match="at least 0"):
+        part.prefix(-1)
+
+
 def test_conjugate():
     assert conjugate_partition((5, 1)) == (2, 1, 1, 1, 1)
     assert conjugate_partition((3, 3, 2)) == (3, 3, 2)

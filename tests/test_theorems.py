@@ -136,6 +136,14 @@ def test_chains_disjoint(n):
     assert report.status == VERIFIED
 
 
+def test_disjoint_takes_n_from_either_nonempty_chain():
+    chain = first_chain(3)
+    for c1, c2 in (([], chain), (chain, [])):
+        report = verify_disjoint(c1, c2)
+        assert (report.n, report.status) == (3, VERIFIED)
+    assert verify_disjoint([], []).n == 0
+
+
 def test_chain_not_disjoint_from_itself():
     chain = first_chain(4)
     report = verify_disjoint(chain, chain)
