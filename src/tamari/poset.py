@@ -1,23 +1,27 @@
 """Finite poset engine: order validation, Hasse diagrams, levels, duality.
 
-A :class:`Poset` stores its order as bitset up-set rows (Python ints; bit j
-of row i is set iff element i is below or equal to element j) together with
-its covers (the Hasse diagram) as each element's ascending upper and lower
-cover lists.  Every other view, down-set rows, levels and the sorted cover
-pairs, is derived from these two and cached; ``Poset.from_vectors`` builds
-the componentwise order of vectors straight into rows, each row once, and
+A :class:`Poset` stores its order as bitset down-set rows (Python ints; bit
+j of row i is set iff element j is below or equal to element i) together
+with its covers (the Hasse diagram) as each element's ascending upper and
+lower cover lists.  Along the poset's linear extension, index order for
+every Tamari family, row i has no bit above i, so the rows are triangular.
+Every other view, up-set rows, levels and the sorted cover pairs, is
+derived from these two and cached; ``Poset.from_vectors`` builds the
+componentwise order of vectors straight into rows, each row once, and
 ``is_lattice`` reads them.  Construction validates the order by a cover
-certificate: walking a linear extension from the top, each up-set must be
-the union of the up-sets of its covers, which are found along the way (Aho,
-Garey & Ullman, "The transitive reduction of a directed graph", 1972).  Only
-a relation that fails it is scanned again, row by row, to name the violated
-axiom and a witness.  The extension it walked, index order whenever that
-is one, is the poset's only one: row closures, levels, ``is_lattice`` and
-``topological_order`` all walk it.  A dual shares its source's covers,
-levels, built rows and extension, reversed, and builds its other rows when
-read.  The dense numpy views (``leq_matrix``, ``cover_matrix``), kept for
-tests and oracles, are the only code that imports numpy.  Everything here
-is immutable after construction and safe to share between threads.
+certificate: walking a linear extension from the bottom, each down-set must
+be the union of the down-sets of its lower covers, which are found along
+the way, each the highest bit not yet reached (Aho, Garey & Ullman, "The
+transitive reduction of a directed graph", 1972).  Only a relation that
+fails it is transposed to up-set rows and scanned again, row by row, to
+name the violated axiom and a witness.  The extension it walked, index
+order whenever that is one, is the poset's only one: row closures, levels,
+``is_lattice`` and ``topological_order`` all walk it.  A dual shares its
+source's covers, levels, built rows and extension, reversed, and builds its
+other rows when read.  The dense numpy views (``leq_matrix``,
+``cover_matrix``), kept for tests and oracles, are the only code that
+imports numpy.  Everything here is immutable after construction and safe to
+share between threads.
 """
 
 from __future__ import annotations
@@ -34,6 +38,9 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 # truth values 0 and 1, as bytes, to binary digits
 _DIGITS = bytes.maketrans(b"\0\1", b"01")
+
+# each element's ascending upper covers, then its ascending lower covers
+_CoverLists = tuple[list[list[int]], list[list[int]]]
 
 
 class PosetError(ValueError):
@@ -84,11 +91,20 @@ def _selected(rows: list[int], idx: list[int]) -> list[int]:
     return [int("".join(pick(format(rows[i], f"0{n}b"))), 2) for i in idx]
 
 
-def _by_up_size(up: list[int]) -> list[int]:
-    """The indices in descending up-set size, index order among equals: a
-    linear extension of any partial order, since a strictly smaller element
-    has a strictly larger up-set: the certificate's fallback."""
-    return sorted(range(len(up)), key=[-row.bit_count() for row in up].__getitem__)
+def _transpose(rows: list[int]) -> list[int]:
+    """The converse relation: bit i of row j is bit j of ``rows[i]``.  The
+    rows are read as binary strings and their columns as the new rows'
+    digits, never as a matrix."""
+    n = len(rows)
+    columns = zip(*(format(row, f"0{n}b") for row in rows))  # bit n - 1 first
+    return [int("".join(column)[::-1], 2) for column in columns][::-1]
+
+
+def _by_down_size(down: list[int]) -> list[int]:
+    """The indices in ascending down-set size, index order among equals: a
+    linear extension of any partial order, since a strictly larger element
+    has a strictly larger down-set: the certificate's fallback."""
+    return sorted(range(len(down)), key=[row.bit_count() for row in down].__getitem__)
 
 
 def _closure(adjacent: list[list[int]], order: Iterable[int]) -> list[int]:
@@ -105,81 +121,91 @@ def _closure(adjacent: list[list[int]], order: Iterable[int]) -> list[int]:
 def is_lattice(p: Poset) -> bool:
     """True iff every pair has a unique least upper and greatest lower bound.
 
-    A finite poset with a least element is a lattice iff every pair has a
-    join, since the meet of a pair is then the join of its common lower
-    bounds; so only up rows are read.  Over a linear extension the lowest
-    common upper bound of a pair is a minimal one, and a join exists iff its
-    up-set is exactly the common upper bounds.
+    A finite poset with a greatest element is a lattice iff every pair has a
+    meet, since the join of a pair is then the meet of its common upper
+    bounds; so only down rows are read.  Over a linear extension the highest
+    common lower bound of a pair is a maximal one, and a meet exists iff its
+    down-set is exactly the common lower bounds.
     """
-    if len(p.minimal_elements()) != 1:
+    if len(p.maximal_elements()) != 1:
         return False
-    up = p._up
+    down = p._down
     if p._extension != range(p.n):  # renumbered along the poset's extension
-        up = _selected(up, p._extension)
+        down = _selected(down, p._extension)
     for a in range(p.n):
+        row = down[a]
         for b in range(a + 1, p.n):
-            ub = up[a] & up[b]
-            if not ub or up[(ub & -ub).bit_length() - 1] != ub:
+            lb = row & down[b]
+            if not lb or down[lb.bit_length() - 1] != lb:
                 return False
     return True
 
 
-def _cover_certificate(up: list[int]) -> tuple[list[list[int]], Sequence[int]] | None:
-    """Each element's ascending upper covers and the linear extension they
-    were certified along, if the rows form a partial order, else None.
+def _cover_certificate(down: list[int]) -> tuple[_CoverLists, Sequence[int]] | None:
+    """Each element's ascending upper and lower covers and the linear
+    extension they were certified along, if the rows form a partial order,
+    else None.
 
-    The rows are walked down index order (:func:`_walk_covers`), and the
+    The rows are walked up index order (:func:`_walk_covers`), and the
     extension is ``range(n)``; only if that walk fails are they walked again
-    down :func:`_by_up_size`, which is a linear extension of any partial
+    up :func:`_by_down_size`, which is a linear extension of any partial
     order, so the second walk fails exactly when the relation is not one.
     """
-    ups = _walk_covers(up)
-    if ups is not None:
-        return ups, range(len(up))
-    order = _by_up_size(up)
-    ups = _walk_covers(_selected(up, order))
-    if ups is None:
+    walked = _walk_covers(down)
+    if walked is not None:
+        return walked, range(len(down))
+    order = _by_down_size(down)
+    walked = _walk_covers(_selected(down, order))
+    if walked is None:
         return None
-    out: list[list[int]] = [[]] * len(up)
-    for i, covers in enumerate(ups):
-        out[order[i]] = sorted(order[j] for j in covers)
+    out = tuple([[]] * len(down) for _ in walked)
+    for side, lists in zip(out, walked):
+        for i, covers in enumerate(lists):
+            side[order[i]] = sorted(order[j] for j in covers)
     return out, order
 
 
-def _walk_covers(rows: list[int]) -> list[list[int]] | None:
-    """Each element's ascending upper covers if index order is a linear
-    extension of a partial order given by the rows, else None.
+def _walk_covers(rows: list[int]) -> _CoverLists | None:
+    """Each element's ascending upper and lower covers if index order is a
+    linear extension of a partial order given by the down-set rows, else
+    None.
 
-    The elements are walked from the top.  For each element, the lowest
-    strict successor not yet reached from the covers found so far is its
-    next cover.  The element's up-set must then be exactly the union of its
-    covers' up-sets.  The up-sets above it were certified first, so by
-    induction the relation is transitive iff every check passes; reflexivity
-    and antisymmetry follow from each row's lowest bit being its own.
+    The elements are walked from the bottom.  For each element, the highest
+    strict predecessor not yet reached from the covers found so far is its
+    next cover: the highest bit of what is left, which ``bit_length`` reads
+    without copying the row.  The element's down-set must then be exactly
+    the union of its covers' down-sets.  The down-sets below it were
+    certified first, so by induction the relation is transitive iff every
+    check passes; reflexivity and antisymmetry follow from each row's
+    highest bit being its own.  Each element joins its lower covers' upper
+    cover lists as it is walked, so those come ascending too.
     """
     index = list(range(len(rows)))  # one int object per element, shared by the lists naming it
-    ups: list[list[int]] = [[]] * len(rows)
-    for i in reversed(index):
-        above = rows[i] ^ 1 << i
-        if not above:
+    ups: list[list[int]] = [[] for _ in index]
+    downs: list[list[int]] = [[]] * len(rows)
+    for i in index:
+        below = rows[i] ^ 1 << i
+        if not below:
             continue
-        # above's lowest bit is at most i unless the row's lowest bit is i;
+        # below's highest bit is at least i unless the row's highest bit is i;
         # checked first, so every row met below is certified and holds its own bit
-        j = (above & -above).bit_length() - 1
-        if j <= i:
+        j = below.bit_length() - 1
+        if j >= i:
             return None
         covers = [index[j]]
         reached = rows[j]
-        rest = above ^ above & reached
+        rest = below ^ below & reached
         while rest:
-            j = (rest & -rest).bit_length() - 1
+            j = rest.bit_length() - 1
             covers.append(index[j])
             reached |= rows[j]
             rest ^= rest & rows[j]
-        if reached != above:
+        if reached != below:
             return None
-        ups[i] = covers
-    return ups
+        downs[i] = covers[::-1]  # ascending, and no longer than it needs to be
+        for j in covers:
+            ups[j].append(i)
+    return ups, downs
 
 
 def _index_pairs(pairs: Iterable, n: int) -> list[tuple[int, int]]:
@@ -218,18 +244,18 @@ def _antisymmetry_error(labels: list, i: int, j: int) -> PosetError:
     )
 
 
-def _closing_order(succ: list[list[int]]) -> tuple[list[int], tuple[int, int] | None]:
+def _closing_order(adjacent: list[list[int]]) -> tuple[list[int], tuple[int, int] | None]:
     """The nodes in the order Tarjan's algorithm (1972), run iteratively,
     closes their strongly connected components, and the least node i on a
     cycle with the least other member of its component, None for an
     acyclic digraph: the first mutually related pair of the closure in
-    row-major order.
+    row-major order, whichever way the arcs point.
 
     A component closes only after every component it reaches, so without a
-    cycle each node comes after all of its successors, the order
+    cycle each node comes after all of its ``adjacent`` nodes, the order
     :func:`_closure` needs.  The cost is linear in the arcs.
     """
-    n = len(succ)
+    n = len(adjacent)
     index = [-1] * n  # n once the node's component has closed
     low = [0] * n
     stack: list[int] = []
@@ -242,7 +268,7 @@ def _closing_order(succ: list[list[int]]) -> tuple[list[int], tuple[int, int] | 
         index[root] = low[root] = count
         count += 1
         stack.append(root)
-        work = [(root, iter(succ[root]))]
+        work = [(root, iter(adjacent[root]))]
         while work:
             v, todo = work[-1]
             for w in todo:
@@ -250,7 +276,7 @@ def _closing_order(succ: list[list[int]]) -> tuple[list[int], tuple[int, int] | 
                     index[w] = low[w] = count
                     count += 1
                     stack.append(w)
-                    work.append((w, iter(succ[w])))
+                    work.append((w, iter(adjacent[w])))
                     break
                 if index[w] < low[v]:  # w is on the stack, as a closed index is n
                     low[v] = index[w]
@@ -269,17 +295,18 @@ def _closing_order(succ: list[list[int]]) -> tuple[list[int], tuple[int, int] | 
     return closed, tuple(min(cyclic)[:2]) if cyclic else None
 
 
-def _validate_order(labels: list, up: list[int]) -> tuple[list[list[int]], Sequence[int]]:
-    """Return the upper covers and the extension of :func:`_cover_certificate`.
+def _validate_order(labels: list, down: list[int]) -> tuple[_CoverLists, Sequence[int]]:
+    """Return the cover lists and the extension of :func:`_cover_certificate`.
 
-    A relation that fails the cover certificate is scanned row by row for
-    the first violated axiom (reflexivity, then antisymmetry, then
-    transitivity) and its first witness in row-major order, which is raised
-    as a :class:`PosetError`.
+    A relation that fails the cover certificate is transposed to up-set rows
+    and scanned row by row for the first violated axiom (reflexivity, then
+    antisymmetry, then transitivity) and its first witness in row-major
+    order, which is raised as a :class:`PosetError`.
     """
-    certified = _cover_certificate(up)
+    certified = _cover_certificate(down)
     if certified is not None:
         return certified
+    up = _transpose(down)
     for i, row in enumerate(up):
         if not row >> i & 1:
             raise PosetError(
@@ -304,28 +331,31 @@ def _validate_order(labels: list, up: list[int]) -> tuple[list[list[int]], Seque
 
 
 def _componentwise_rows(vectors: list) -> list[int]:
-    """Up-set rows of the componentwise order on equal-length vectors.
+    """Down-set rows of the componentwise order on equal-length vectors.
 
-    Per coordinate, the vectors holding at least each value form a bitset,
-    filled in a bytearray down the values; each row is then built once, as
-    the intersection of its vector's sets.
+    Per coordinate, the vectors holding at most each value form a bitset,
+    read off one byte per vector by C-level translation.  The values are
+    coded by rank, 255 at a time, with every lower rank coded 0 and every
+    higher one 255; the table sending the codes up to a rank's to "1" and
+    the rest to "0" then turns the codes into that rank's set as binary
+    digits.  Each row is built once, as the intersection of its vector's
+    sets.
     """
     width = len(vectors[0]) if vectors else 0
     if any(len(v) != width for v in vectors):
         raise PosetError("vectors of different lengths are not ordered componentwise")
-    at_least: list[dict] = []
-    for c in range(width):
-        holding: dict = {}
-        for i, v in enumerate(vectors):
-            holding.setdefault(v[c], []).append(i)
-        bits = bytearray((len(vectors) + 7) // 8)
-        for value in sorted(holding, reverse=True):
-            for i in holding[value]:
-                bits[i >> 3] |= 1 << (i & 7)
-            holding[value] = int.from_bytes(bits, "little")
-        at_least.append(holding)
+    at_most: list[dict] = []
+    for column in zip(*vectors):
+        values = sorted(set(column))
+        sets: dict = {}
+        for base in range(0, len(values), 255):
+            code = {value: min(max(rank - base, 0), 255) for rank, value in enumerate(values)}
+            digits = bytes(map(code.__getitem__, column))[::-1]  # the last vector first
+            for rank, value in enumerate(values[base : base + 255]):
+                sets[value] = int(digits.translate(b"1" * (rank + 1) + b"0" * (255 - rank)), 2)
+        at_most.append(sets)
     everything = (1 << len(vectors)) - 1
-    return [reduce(and_, map(getitem, at_least, v), everything) for v in vectors]
+    return [reduce(and_, map(getitem, at_most, v), everything) for v in vectors]
 
 
 @dataclass(frozen=True)
@@ -381,16 +411,17 @@ class Poset:
         shape = (len(leq), *sorted({len(row) for row in leq}))
         if shape != (n, n):
             raise PosetError(f"relation shape {shape} does not match {n} labels")
-        # a row's truth values, last first, are the binary digits of its bits
+        # a column's truth values, last first, are the binary digits of its down row
         self.labels = labels
-        self._up = [int(bytes(map(bool, row))[::-1].translate(_DIGITS), 2) for row in leq]
+        self._down = [int(bytes(map(bool, col))[::-1].translate(_DIGITS), 2) for col in zip(*leq)]
         self._certify()
 
     @classmethod
-    def _from_rows(cls, labels: Sequence, up: list[int]) -> "Poset":
-        """Build from up-set rows (bit j of ``up[i]`` iff i <= j)."""
+    def _from_rows(cls, labels: list, down: list[int]) -> "Poset":
+        """Build from down-set rows (bit j of ``down[i]`` iff j <= i) over a
+        list of labels that the poset keeps, as every caller builds one."""
         p = cls.__new__(cls)
-        p.labels, p._up = list(labels), up
+        p.labels, p._down = labels, down
         if not p.labels:
             raise PosetError("poset needs at least one element", kind="empty")
         p._certify()
@@ -398,30 +429,24 @@ class Poset:
 
     def _certify(self) -> None:
         """Validate the rows; keep the extension walked and the ascending
-        upper covers with the lower covers, which one walk over them in index
-        order gives ascending too.  The sorted pairs are derived only when
-        read (:attr:`_cover_pairs`)."""
-        ups, self._extension = _validate_order(self.labels, self._up)
-        downs: list[list[int]] = [[] for _ in ups]
-        for u, vs in enumerate(ups):
-            for v in vs:
-                downs[v].append(u)
-        self._cover_lists = ups, downs
+        upper and lower covers the walk found.  The sorted pairs are derived
+        only when read (:attr:`_cover_pairs`)."""
+        self._cover_lists, self._extension = _validate_order(self.labels, self._down)
 
     @classmethod
     def from_predicate(cls, labels: Sequence, leq: Callable) -> "Poset":
         """Build from a binary order predicate, validating the axioms."""
         labels = list(labels)
-        up = [sum(1 << j for j, b in enumerate(labels) if leq(a, b)) for a in labels]
-        return cls._from_rows(labels, up)
+        down = [sum(1 << i for i, a in enumerate(labels) if leq(a, b)) for b in labels]
+        return cls._from_rows(labels, down)
 
     @classmethod
     def from_vectors(cls, vectors: Sequence[Sequence]) -> "Poset":
         """The componentwise order on equal-length vectors, validated like
         any other poset; the vectors themselves are the labels.
 
-        Per coordinate, the vectors holding at least each value form a
-        bitset, and a vector's up-set is the intersection of its "at least"
+        Per coordinate, the vectors holding at most each value form a
+        bitset, and a vector's down-set is the intersection of its "at most"
         sets, one per coordinate.
         """
         vectors = list(vectors)
@@ -435,19 +460,19 @@ class Poset:
         (implied by longer paths) are accepted and dropped; a cycle is
         rejected as an antisymmetry violation naming the least element on a
         cycle and the least other element on a cycle through it.  One
-        search, :func:`_closing_order`, gives both the closure order and
-        that witness.
+        search over the lower covers, :func:`_closing_order`, gives both the
+        closure order and that witness.
         """
         labels = list(labels)
         n = len(labels)
-        succ: list[list[int]] = [[] for _ in range(n)]
+        pred: list[list[int]] = [[] for _ in range(n)]
         for u, v in _index_pairs(covers, n):
             if u != v:
-                succ[u].append(v)
-        order, cycle = _closing_order(succ)
+                pred[v].append(u)
+        order, cycle = _closing_order(pred)
         if cycle is not None:
             raise _antisymmetry_error(labels, *cycle)
-        return cls._from_rows(labels, _closure(succ, order))
+        return cls._from_rows(labels, _closure(pred, order))
 
     # -- basic structure ---------------------------------------------------
 
@@ -456,7 +481,7 @@ class Poset:
         return len(self.labels)
 
     def leq(self, i: int, j: int) -> bool:
-        return bool(self._up[i] >> j & 1)
+        return bool(self._down[j] >> i & 1)
 
     def closure_mismatch(self, pairs: Iterable) -> tuple[tuple | None, tuple | None]:
         """The least of ``pairs``, (lower, upper) element indices, with
@@ -466,28 +491,31 @@ class Poset:
         without closing them.  A pair that is not two indices in range
         raises what :meth:`from_covers` raises for it."""
         got = set(_index_pairs(pairs, self.n))
-        up = self._up
+        down = self._down  # a pair (u, u) is never stray: bit u of row u is set
         stray = min(
-            ((u, v) for u, v in got.difference(self._cover_pairs) if u != v and not up[u] >> v & 1),
+            ((u, v) for u, v in got.difference(self._cover_pairs) if not down[v] >> u & 1),
             default=None,
         )
         return stray, next((pair for pair in self._cover_pairs if pair not in got), None)
 
     def relabeled(self, labels: Sequence) -> "Poset":
-        """The same order over new labels, one per element; the rows, covers
-        and extension are shared, since they are never mutated."""
+        """The same order over new labels, one per element; the covers, the
+        extension and whichever rows are built are shared, since they are
+        never mutated."""
         labels = list(labels)
         if len(labels) != self.n:
             raise PosetError(f"{len(labels)} labels for {self.n} elements")
         p = Poset.__new__(Poset)
-        p.labels, p._up, p._cover_lists = labels, self._up, self._cover_lists
-        p._extension = self._extension
+        p.labels, p._cover_lists, p._extension = labels, self._cover_lists, self._extension
+        for rows in ("_down", "_up"):
+            if rows in vars(self):
+                setattr(p, rows, vars(self)[rows])
         return p
 
     @cached_property
     def leq_matrix(self):
         """Read-only dense numpy view of the order, for tests and oracles."""
-        return _bool_rows(self._up, self.n)
+        return _bool_rows(self._down, self.n).T
 
     @cached_property
     def cover_matrix(self):
@@ -509,16 +537,16 @@ class Poset:
     @cached_property
     def _up(self) -> list[int]:
         """Up-set rows (bit j of row i iff i <= j), closed over the upper
-        covers down the poset's extension.  Preset wherever the rows are the
-        input, so only a dual builds them."""
+        covers down the poset's extension.  Read only by the isomorphism
+        search, and by a dual as its down rows."""
         ups, _ = self._cover_lists
         return _closure(ups, reversed(self._extension))
 
     @cached_property
     def _down(self) -> list[int]:
         """Down-set rows (bit j of row i iff j <= i), closed over the lower
-        covers up the poset's extension.  Read only by the isomorphism
-        search, and by a dual as its up rows."""
+        covers up the poset's extension.  Preset wherever the rows are the
+        input, so only a dual builds them."""
         _, downs = self._cover_lists
         return _closure(downs, self._extension)
 
@@ -533,17 +561,17 @@ class Poset:
     def first_comparable_pair(self, members: Sequence[int]) -> tuple[int, int] | None:
         """The first (a, b) with a != b and a <= b, scanning ``members`` in
         their given order for a and then for b; None for an antichain.
-        Since a <= a, a has a comparable partner iff its hits in the mask
-        are more than its own bit."""
+        Since b <= b, the members strictly below b are its hits in the mask
+        but its own bit; only if some member has one is the first a named."""
         mask = 0
         for m in members:  # OR, so a repeated member counts once
             mask |= 1 << m
-        up = self._up
-        for a in members:
-            hit = up[a] & mask
-            if hit != 1 << a:
-                return a, next(b for b in members if b != a and hit >> b & 1)
-        return None
+        down = self._down
+        below = reduce(or_, (down[b] & mask ^ 1 << b for b in members), 0)
+        if not below:
+            return None
+        a = next(a for a in members if below >> a & 1)
+        return a, next(b for b in members if b != a and down[b] >> a & 1)
 
     def first_comparable_in_parts(self, parts: Iterable[Sequence[int]]) -> tuple[int, int] | None:
         """The first comparable pair inside one of ``parts``, one
@@ -641,7 +669,7 @@ class Poset:
 
     def induced(self, indices: Sequence[int]) -> "Poset":
         idx = list(indices)
-        return Poset._from_rows([self.labels[i] for i in idx], _selected(self._up, idx))
+        return Poset._from_rows([self.labels[i] for i in idx], _selected(self._down, idx))
 
 
 # -- isomorphism -------------------------------------------------------------

@@ -292,11 +292,11 @@ def test_antichain_union_t3b():
     lambda p: max_antichain_union(p, 2),
 ], ids=["gk_partition", "chain_union_sizes", "max_chain_union", "max_antichain_union"])
 def test_flow_builds_no_down_rows(kind, n, call):
-    # the network is numbered along the certified extension, which for a
-    # Tamari family is index order: no down row is built for it
+    # the network is indexed by element and started from the levels: no
+    # row beyond the stored down rows is built for it
     p = tamari_poset.__wrapped__(kind, n)  # a fresh poset, not the cached one
     call(p)
-    assert "_down" not in vars(p)
+    assert "_up" not in vars(p)
 
 
 # -- posets whose extension is not index order ----------------------------------------------
@@ -305,7 +305,7 @@ def test_flow_builds_no_down_rows(kind, n, call):
 def _unordered_copies() -> list[tuple[Poset, Poset]]:
     """(source, copy) pairs where the copy's extension is not index order:
     duals of Tamari lattices, and label-shuffled ``from_covers`` copies of
-    seeded random posets, which the certificate orders by up-set size."""
+    seeded random posets, which the certificate orders by down-set size."""
     pairs = [(p, p.dual()) for p in (tamari_poset("b", 4), tamari_poset("b", 5), tamari_poset("a", 5))]
     rng = random.Random(2501)
     for _ in range(12):

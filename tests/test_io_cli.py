@@ -527,3 +527,21 @@ def test_document_rejects_level_keys_outside_the_elements(levels, bad):
     }
     with pytest.raises(ValueError, match=re.escape(f"level key '{bad}'")):
         document_to_poset(doc)
+
+
+@pytest.mark.parametrize("layout", [None, "lowest", "shifted"])
+@pytest.mark.parametrize("fmt", ["json", "dot"])
+def test_export_and_read_back_build_no_up_rows(monkeypatch, capsys, fmt, layout):
+    # the stored down rows serve the export, its levels and the read-back's
+    # comparison with the family: no up row is built for any of them
+    p = tamari_poset.__wrapped__("b", 5)  # a fresh poset, not the cached one
+    monkeypatch.setattr(tamari.cli, "tamari_poset", lambda kind, n: p)
+    monkeypatch.setattr(tamari.io, "tamari_poset", lambda kind, n: p)
+    argv = ["export", "--type", "b", "--n", "5", "--format", fmt]
+    assert tamari.cli.main(argv + (["--layout", layout] if layout else [])) == 0
+    out = capsys.readouterr().out
+    assert "_up" not in vars(p)
+    if fmt == "json":
+        q = document_to_poset(json.loads(out))
+        assert q.covers == p.covers
+        assert "_up" not in vars(p) and "_up" not in vars(q)

@@ -172,7 +172,7 @@ def test_level_maps_build_no_down_rows():
     p = tamari_poset.__wrapped__("b", 5)  # a fresh poset, not the cached one
     shifted_level_map(p)
     p.level_map("highest")
-    assert "_down" not in vars(p)
+    assert "_up" not in vars(p)
 
 
 # -- leveled subposet ----------------------------------------------------------------
@@ -281,7 +281,7 @@ def test_remarks_tell_tamari_b_from_its_dual_by_level_pairs(monkeypatch, n):
     duality, core, _ = verify_structure(n)
     assert duality.data == {"self_dual": False}
     assert core.status == "verified"
-    assert "_down" not in vars(p)
+    assert "_up" not in vars(p)
 
 
 def test_equal_level_pairs_still_reach_the_refinement(monkeypatch):
