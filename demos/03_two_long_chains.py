@@ -19,10 +19,10 @@ from tamari import (
 n = 4
 print(f"== the two chains at n={n} ==")
 fc = first_chain(n)
-print(f"  first chain ({len(fc)} elements), rightmost increments:")
+print(f"  first chain ({len(fc)} elements), each position raised n times, last position first:")
 print("   ", ", ".join(format_vector(v) for v in fc))
 sc = second_chain(n)
-print(f"  second chain ({len(sc)} elements), leftmost increments through the leveled part:")
+print(f"  second chain ({len(sc)} elements), raised in right-to-left sweeps:")
 print("   ", ", ".join(format_vector(v) for v in sc))
 
 # The second chain is six shorter; prepending the unleveled (0,...,0,1,0)

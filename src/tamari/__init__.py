@@ -27,7 +27,6 @@ from .elements import (
     brute_force_type_a,
     brute_force_type_b,
     element_listing,
-    element_texts,
     entry_sum,
     enumerate_type_a,
     enumerate_type_b,
@@ -86,7 +85,6 @@ __all__ = [
     "brute_force_type_a",
     "brute_force_type_b",
     "element_listing",
-    "element_texts",
     "entry_sum",
     "enumerate_type_a",
     "enumerate_type_b",

@@ -394,15 +394,6 @@ def element_listing(kind: str, n: int) -> str:
     return "".join([prefix + prefix.join(suffixes) for prefix, suffixes in blocks])
 
 
-def element_texts(kind: str, n: int) -> list[str]:
-    """The lines of :func:`element_listing`, each ending in a newline:
-    ``element_texts(kind, n)[i] == format_vector(v) + "\\n"`` for the i-th
-    enumerated vector ``v``.  A text holds no other line break, so
-    ``splitlines`` splits exactly at the newlines.
-    """
-    return element_listing(kind, n).splitlines(keepends=True)
-
-
 def brute_force_type_b(n: int) -> list[Vector]:
     """Independent oracle: filter the full (n+1)^n symbol grid by the rules.
 

@@ -98,9 +98,13 @@ def test_chain_bounds():
         second_chain(3)
 
 
-@pytest.mark.parametrize("n", [2, 3, 4, 5])
+# n >= 8 is beyond the poset cap: the chains are written down without a poset
+@pytest.mark.parametrize("n", range(2, 11))
 def test_first_chain_elements_valid_and_increasing(n):
+    tamari_poset.cache_clear()
     chain = first_chain(n)
+    assert tamari_poset.cache_info().misses == 0
+    assert len(chain) == n * n + 1
     assert all(is_type_b(v) for v in chain)
     for a, b in zip(chain, chain[1:]):
         assert leq_componentwise(a, b) and a != b
@@ -108,12 +112,19 @@ def test_first_chain_elements_valid_and_increasing(n):
         assert sum(1 for x, y in zip(a, b) if x != y) == 1
 
 
-@pytest.mark.parametrize("n", [4, 5])
+@pytest.mark.parametrize("n", range(4, 11))
 def test_second_chain_elements_valid_and_increasing(n):
+    tamari_poset.cache_clear()
     chain = second_chain(n, with_prefix=True)
+    assert tamari_poset.cache_info().misses == 0
+    assert len(chain) == n * n - 4
+    assert not set(chain) & set(first_chain(n))
     assert all(is_type_b(v) for v in chain)
-    for a, b in zip(chain, chain[1:]):
+    # the prefix step (0,...,0,1,0) -> (0,...,0,1,2) raises the last entry by two
+    for step, (a, b) in enumerate(zip(chain, chain[1:])):
         assert leq_componentwise(a, b) and a != b
+        assert entry_sum(b) == entry_sum(a) + (2 if step == 0 else 1)
+        assert sum(1 for x, y in zip(a, b) if x != y) == 1
 
 
 @pytest.mark.parametrize("n", [4, 5])
