@@ -17,11 +17,14 @@ source, every node at a smaller distance from s than t would be reachable
 from s over zero-reduced-cost arcs, and each augmenting-path search would
 wander through that region's dead ends.  Reduced distances are small
 nonnegative integers, so the Dijkstra pops nodes from Dial's bucket queue
-(*CACM* 12, 1969), one list per distance; the maximum flow is found by repeated
+(*CACM* 12, 1969), one list per distance.  The maximum flow is found by
 augmenting-path searches over the arcs whose reduced cost is zero, tested
-as they are scanned.  Every unit sent in one phase has the same cost, and
-after the phase the cheapest s->t cost has strictly risen.  All costs and
-capacities are integers, so the computed flows are exactly integral.
+as they are scanned.  The searches run in rounds that share their marks, so
+a dead end found by one search is not explored again by the next in its
+round; a round that starts with fresh marks and sends nothing ends the
+phase.  Every unit sent in one phase has the same cost, and after the phase
+the cheapest s->t cost has strictly risen.  All costs and capacities are
+integers, so the computed flows are exactly integral.
 """
 
 from __future__ import annotations
@@ -93,6 +96,8 @@ class MinCostFlow:
         ``s`` is lowered exactly as much as ``s``, so no arc into it turns
         tight and the searches from ``s`` are not led into it.
         """
+        if s == t:
+            raise ValueError(f"a path needs a source and a sink that differ, got s == t == {s}")
         pi = self.potential
         adj, to, cap, cost = self.adj, self.to, self.cap, self.cost
         dist = [_UNREACHED] * self.n
@@ -124,44 +129,71 @@ class MinCostFlow:
     def push_phase(self, s: int, t: int, limit: int) -> int:
         """Send at most ``limit`` units over zero-reduced-cost residual arcs.
 
-        Repeats a depth-first search from ``s`` for a path of residual arcs
-        with zero reduced cost and augments along it, until ``limit`` units
-        are sent or a search fails.  A search finds a path whenever one
-        exists, so short of the limit the result is a maximum flow on the
-        zero-reduced-cost subgraph.  Reverse arcs created by the pushes also
-        have zero reduced cost, so later searches may use them.  Returns the
-        number of units sent.
+        Depth-first searches from ``s`` look for paths of residual arcs with
+        zero reduced cost, and each path found is augmented.  The searches
+        run in rounds (:meth:`_push_round`) that share their marks, so a
+        dead end found by one search is not explored again by the next.
+        Those marks may hide a path, so the phase ends only at the limit or
+        when a round that starts with fresh marks sends nothing; short of
+        the limit the result is a maximum flow on the zero-reduced-cost
+        subgraph.  Reverse arcs created by the pushes also have zero reduced
+        cost, so later searches may use them.  The potentials stay fixed, so
+        the tight arcs out of ``s`` are listed once.  Returns the number of
+        units sent.
+        """
+        if s == t:
+            raise ValueError(f"a flow needs a source and a sink that differ, got s == t == {s}")
+        pi, to, cost = self.potential, self.to, self.cost
+        starts = [a for a in self.adj[s] if cost[a] + pi[s] == pi[to[a]]]
+        sent = 0
+        while sent < limit:
+            pushed = self._push_round(s, t, limit - sent, starts)
+            if not pushed:
+                break  # t is unreachable even with fresh marks: the flow is maximum
+            sent += pushed
+        return sent
+
+    def _push_round(self, s: int, t: int, limit: int, starts: list[int]) -> int:
+        """Augment along zero-reduced-cost paths from ``s`` until ``limit``
+        units are sent or a search fails; returns the units sent.
+
+        The searches share one set of marks.  A node that a search entered
+        and left without reaching ``t`` stays marked, so no later search of
+        the round enters it again; the nodes of an augmenting path are
+        unmarked, since they may carry the next unit.  A node is left as a
+        dead end even when its only way on ran through a node then on the
+        search's path, so a failed search proves the flow maximum only in a
+        round that has sent nothing.
         """
         pi = self.potential
         adj, to, cap, cost = self.adj, self.to, self.cap, self.cost
-        seen = [0] * self.n  # stamp of the last search that entered each node
+        seen = bytearray(self.n)
+        seen[s] = 1
         sent = 0
-        stamp = 0
         while sent < limit:
-            stamp += 1
-            seen[s] = stamp
             path: list[int] = []
-            scans = [iter(adj[s])]  # each node's arcs resume where they stopped
+            scans = [iter(starts)]  # each node's arcs resume where they stopped
             u, pu = s, pi[s]
             while u != t:
                 for a in scans[-1]:
                     if cap[a] > 0:
                         v = to[a]
-                        if seen[v] != stamp and cost[a] + pu == pi[v]:
-                            seen[v] = stamp
+                        if not seen[v] and cost[a] + pu == pi[v]:
+                            seen[v] = 1
                             path.append(a)
                             scans.append(iter(adj[v]))
                             u, pu = v, pi[v]
                             break
                 else:
                     if not path:
-                        return sent  # t is unreachable: the flow is maximum
-                    scans.pop()
+                        return sent  # the search failed, and with it the round
+                    scans.pop()  # u is a dead end and stays marked for the round
                     u = to[path.pop() ^ 1]
                     pu = pi[u]
             push = min(limit - sent, min(cap[a] for a in path))
             for a in path:
                 cap[a] -= push
                 cap[a ^ 1] += push
+                seen[to[a]] = 0
             sent += push
         return sent

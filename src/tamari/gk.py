@@ -4,11 +4,13 @@ The chain side is a profit-flow reduction.  Each element v is split into
 v_in -> v_out with a capacity-one, profit-one arc plus a free bypass of
 unlimited capacity; u_out -> v_in arcs exist for every cover u < v (the
 bypass lets a unit pass through an element another unit already collected,
-so covers reach every strict relation); the source feeds every v_in and
-every v_out reaches the sink.  Sending k units of maximum-profit flow
-(min-cost flow with unit profits negated) collects exactly the maximum
-number of elements coverable by k chains, and the flow decomposes into k
-paths whose collected elements are the chains.
+so covers reach every strict relation); the source feeds every v_in, and
+only the out-nodes of maximal elements reach the sink, since a unit that
+ends at any element goes on up free bypass and cover arcs to a maximal one.
+Sending k units of maximum-profit flow (min-cost flow with unit profits
+negated) collects exactly the maximum number of elements coverable by k
+chains, and the flow decomposes into k paths whose collected elements are
+the chains.
 
 The flow runs in primal-dual phases: each phase sends every unit of the
 current largest marginal profit at once.  Marginal profits are the parts of
@@ -103,11 +105,13 @@ class _ChainNetwork:
             potential += (-lv, -lv - 1)
         net = MinCostFlow(potential)
         profit: list[int] = []
+        maximal = set(p.maximal_elements())
         for v in range(p.n):  # element v owns nodes 2 + 2v (in) and 3 + 2v (out)
             net.add_arc(self.S, 2 + 2 * v, _BIG, 0)
             profit.append(net.add_arc(2 + 2 * v, 3 + 2 * v, 1, -1))
             net.add_arc(2 + 2 * v, 3 + 2 * v, _BIG, 0)  # free bypass
-            net.add_arc(3 + 2 * v, self.T, _BIG, 0)
+            if v in maximal:  # the rest reach T over a maximal element, at no cost
+                net.add_arc(3 + 2 * v, self.T, _BIG, 0)
         for u, v in p.covers:
             net.add_arc(3 + 2 * u, 2 + 2 * v, _BIG, 0)
         self.net = net

@@ -10,10 +10,10 @@ from .poset import Poset
 
 # One cap gates every poset command (lambda, verify, export) and the
 # read-back of Tamari documents, though it tracks the cost of none but
-# lambda's full chain partition (`lambda --type b --n 8` takes 9.5-12.4 s at
-# 71 MB with the cap raised; README, "Current figures"); verify runs no flow
-# for n >= 4, export never does, and a document is refused above it before
-# any element is listed.
+# lambda's full chain partition (`lambda --type b --n 8` takes about 3.2 s at
+# 57 MB with the cap raised, and the flow of `T_9^B` about 25 s; README,
+# "Current figures"); verify runs no flow for n >= 4, export never does, and
+# a document is refused above it before any element is listed.
 POSET_MAX_N = 7
 
 

@@ -42,6 +42,9 @@ _DIGITS = bytes.maketrans(b"\0\1", b"01")
 # each element's ascending upper covers, then its ascending lower covers
 _CoverLists = tuple[list[list[int]], list[list[int]]]
 
+# rows and a linear extension -> the rows renumbered along it
+_Renumbering = Callable[[list[int], list[int]], list[int]]
+
 
 class PosetError(ValueError):
     """Raised when a claimed order relation fails a partial-order axiom."""
@@ -141,7 +144,9 @@ def is_lattice(p: Poset) -> bool:
     return True
 
 
-def _cover_certificate(down: list[int]) -> tuple[_CoverLists, Sequence[int]] | None:
+def _cover_certificate(
+    down: list[int], renumbered: _Renumbering = _selected
+) -> tuple[_CoverLists, Sequence[int]] | None:
     """Each element's ascending upper and lower covers and the linear
     extension they were certified along, if the rows form a partial order,
     else None.
@@ -150,12 +155,13 @@ def _cover_certificate(down: list[int]) -> tuple[_CoverLists, Sequence[int]] | N
     extension is ``range(n)``; only if that walk fails are they walked again
     up :func:`_by_down_size`, which is a linear extension of any partial
     order, so the second walk fails exactly when the relation is not one.
+    ``renumbered(down, order)`` gives the rows along that order.
     """
     walked = _walk_covers(down)
     if walked is not None:
         return walked, range(len(down))
     order = _by_down_size(down)
-    walked = _walk_covers(_selected(down, order))
+    walked = _walk_covers(renumbered(down, order))
     if walked is None:
         return None
     out = tuple([[]] * len(down) for _ in walked)
@@ -295,7 +301,9 @@ def _closing_order(adjacent: list[list[int]]) -> tuple[list[int], tuple[int, int
     return closed, tuple(min(cyclic)[:2]) if cyclic else None
 
 
-def _validate_order(labels: list, down: list[int]) -> tuple[_CoverLists, Sequence[int]]:
+def _validate_order(
+    labels: list, down: list[int], renumbered: _Renumbering = _selected
+) -> tuple[_CoverLists, Sequence[int]]:
     """Return the cover lists and the extension of :func:`_cover_certificate`.
 
     A relation that fails the cover certificate is transposed to up-set rows
@@ -303,7 +311,7 @@ def _validate_order(labels: list, down: list[int]) -> tuple[_CoverLists, Sequenc
     antisymmetry, then transitivity) and its first witness in row-major
     order, which is raised as a :class:`PosetError`.
     """
-    certified = _cover_certificate(down)
+    certified = _cover_certificate(down, renumbered)
     if certified is not None:
         return certified
     up = _transpose(down)
@@ -417,21 +425,24 @@ class Poset:
         self._certify()
 
     @classmethod
-    def _from_rows(cls, labels: list, down: list[int]) -> "Poset":
+    def _from_rows(
+        cls, labels: list, down: list[int], renumbered: _Renumbering = _selected
+    ) -> "Poset":
         """Build from down-set rows (bit j of ``down[i]`` iff j <= i) over a
-        list of labels that the poset keeps, as every caller builds one."""
+        list of labels that the poset keeps, as every caller builds one;
+        ``renumbered`` goes to the certificate."""
         p = cls.__new__(cls)
         p.labels, p._down = labels, down
         if not p.labels:
             raise PosetError("poset needs at least one element", kind="empty")
-        p._certify()
+        p._certify(renumbered)
         return p
 
-    def _certify(self) -> None:
+    def _certify(self, renumbered: _Renumbering = _selected) -> None:
         """Validate the rows; keep the extension walked and the ascending
         upper and lower covers the walk found.  The sorted pairs are derived
         only when read (:attr:`_cover_pairs`)."""
-        self._cover_lists, self._extension = _validate_order(self.labels, self._down)
+        self._cover_lists, self._extension = _validate_order(self.labels, self._down, renumbered)
 
     @classmethod
     def from_predicate(cls, labels: Sequence, leq: Callable) -> "Poset":
@@ -472,7 +483,16 @@ class Poset:
         order, cycle = _closing_order(pred)
         if cycle is not None:
             raise _antisymmetry_error(labels, *cycle)
-        return cls._from_rows(labels, _closure(pred, order))
+
+        def closed_along(down: list[int], extension: list[int]) -> list[int]:
+            # the pairs renumbered and closed again, cheaper than reselecting
+            # every closed row bit by bit; the extension lists lower ends first
+            at = [0] * n
+            for i, v in enumerate(extension):
+                at[v] = i
+            return _closure([[at[u] for u in pred[v]] for v in extension], range(n))
+
+        return cls._from_rows(labels, _closure(pred, order), closed_along)
 
     # -- basic structure ---------------------------------------------------
 

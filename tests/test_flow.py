@@ -11,7 +11,9 @@ import pytest
 from conftest import check_chain_family, random_poset
 from tamari import (
     ChainFamily,
+    Poset,
     chain_union_sizes,
+    enumerate_type_b,
     gk_partition,
     max_antichain_union,
     max_chain_union,
@@ -45,9 +47,8 @@ RECORDED = {
 
 
 # T_8^B (12,870 elements), recorded from the level-graph engine through
-# Poset.from_vectors(enumerate_type_b(8)) and reproduced by the augmenting-path
-# one; tamari_poset stops at n = 7 and the flow takes tens of seconds, so only
-# the record's shape is tested here.
+# Poset.from_vectors(enumerate_type_b(8)), since tamari_poset stops at n = 7;
+# the augmenting-path engine reproduces it in a few seconds, checked below.
 T8B_RECORDED = [
     (65, 1), (60, 1), (57, 1), (55, 1), (54, 1), (52, 1), (51, 1), (50, 1), (49, 3), (48, 1),
     (47, 1), (46, 4), (45, 1), (44, 3), (43, 2), (42, 3), (41, 4), (40, 2), (39, 4), (38, 5),
@@ -72,6 +73,20 @@ def test_t8b_record_has_the_theorem_shape():
     assert all(a >= b for a, b in zip(parts, parts[1:]))
     assert len(set(parts)) == len(T8B_RECORDED) == 57
     assert len(parts) == 925
+
+
+def test_t8b_record_matches_a_live_run(monkeypatch):
+    passes = []
+    cheapest_path = MinCostFlow.cheapest_path
+
+    def counted(self, s, t):
+        passes.append(s)
+        return cheapest_path(self, s, t)
+
+    monkeypatch.setattr(MinCostFlow, "cheapest_path", counted)
+    p = Poset.from_vectors(enumerate_type_b(8))
+    assert gk_partition(p).parts == _expand(T8B_RECORDED)
+    assert len(passes) == 57
 
 
 def test_one_dijkstra_per_distinct_part(monkeypatch):
@@ -110,6 +125,15 @@ def test_phase_reroutes_through_a_reverse_arc():
     assert net.push_phase(s, t, 5) == 0
 
 
+def test_source_and_sink_must_differ():
+    net = MinCostFlow([0, 0])
+    net.add_arc(0, 1, 1, 0)
+    for call in (lambda: net.cheapest_path(0, 0), lambda: net.push_phase(0, 0, 1)):
+        with pytest.raises(ValueError, match="s == t == 0"):
+            call()
+    assert net.cheapest_path(0, 1) == 0 and net.push_phase(0, 1, 1) == 1
+
+
 class _RecordedArcs(list):
     """An adjacency list that records each iteration over it."""
 
@@ -141,6 +165,86 @@ def test_phase_searches_skip_a_dead_end_beside_the_source():
     assert [net.flow_on(x) for x in range(0, len(net.to), 2)] == [0, 1, 1, 1, 0, 1, 1]
 
 
+def test_a_fresh_round_finds_the_path_the_marks_hid():
+    """The first search runs s-y-t after entering x, whose only way on is
+    back to y, then on the search's path; so x stays marked, and the second
+    search of the round stops at z.  A round with fresh marks sends s-z-x-y-t."""
+    s, y, x, t, z = range(5)
+    net = MinCostFlow([0] * 5)
+    arcs = [net.add_arc(u, v, cap, 0)
+            for u, v, cap in ((s, y, 1), (y, x, 1), (x, y, 1), (y, t, 2), (s, z, 1), (z, x, 1))]
+    assert net.cheapest_path(s, t) == 0
+    net.adj[x] = recorded = _RecordedArcs(net.adj[x])
+    assert net.push_phase(s, t, 5) == 2
+    assert [net.flow_on(a) for a in arcs] == [1, 0, 1, 2, 1, 1]
+    assert recorded.iterations == 2  # once in each round that sent a unit
+
+
+def test_a_round_leaves_a_dead_end_once():
+    """x is entered from a and reaches nothing; the round's second search,
+    from b, does not enter it again, and the round after finds s saturated."""
+    s, a, b, x, t = range(5)
+    net = MinCostFlow([0] * 5)
+    for u, v in ((s, a), (s, b), (a, x), (a, t), (b, x), (b, t)):
+        net.add_arc(u, v, 1, 0)
+    assert net.cheapest_path(s, t) == 0
+    net.adj[x] = recorded = _RecordedArcs(net.adj[x])
+    assert net.push_phase(s, t, 5) == 2
+    assert recorded.iterations == 1
+
+
+def _networkx_zero_cost_max_flow(net: MinCostFlow, s: int, t: int) -> int:
+    """networkx's maximum flow over the residual arcs of zero reduced cost,
+    parallel arcs merged into one of their summed capacity."""
+    g = nx.DiGraph()
+    g.add_nodes_from((s, t))
+    pi = net.potential
+    for u in range(net.n):
+        for a in net.adj[u]:
+            v = net.to[a]
+            if net.cap[a] > 0 and net.cost[a] + pi[u] == pi[v]:
+                held = g.edges[u, v]["capacity"] if g.has_edge(u, v) else 0
+                g.add_edge(u, v, capacity=held + net.cap[a])
+    return nx.maximum_flow_value(g, s, t)
+
+
+def test_rounds_send_the_networkx_maximum_flow(monkeypatch):
+    """Every phase sends the maximum flow of the subgraph its Dijkstra left,
+    including phases where a later round finds what the first one's marks hid."""
+    maximum, rounds, phases = [], [], []
+    cheapest_path, push_phase, push_round = (
+        MinCostFlow.cheapest_path, MinCostFlow.push_phase, MinCostFlow._push_round)
+
+    def measured(self, s, t):
+        cost = cheapest_path(self, s, t)
+        maximum.append(_networkx_zero_cost_max_flow(self, s, t))
+        return cost
+
+    def counted(self, *args):
+        rounds.append(push_round(self, *args))
+        return rounds[-1]
+
+    def checked(self, s, t, limit):
+        rounds.clear()
+        sent = push_phase(self, s, t, limit)
+        assert sent == min(limit, maximum[-1])
+        assert sent == limit or rounds[-1] == 0  # short of the limit, a fresh round sent nothing
+        phases.append(list(rounds))
+        return sent
+
+    monkeypatch.setattr(MinCostFlow, "cheapest_path", measured)
+    monkeypatch.setattr(MinCostFlow, "_push_round", counted)
+    monkeypatch.setattr(MinCostFlow, "push_phase", checked)
+    rng = random.Random(7)
+    for _ in range(300):
+        gk_partition(random_poset(rng, rng.randint(5, 60), rng.choice([0.05, 0.1, 0.2, 0.35])))
+    for kind, top in (("a", 6), ("b", 5)):
+        for n in range(1, top + 1):
+            gk_partition(tamari_poset(kind, n))
+    assert len(phases) > 1000
+    assert sum(any(units[1:]) for units in phases) >= 1
+
+
 def test_limit_cuts_phases_mid_run():
     """k = 9 and k = 11 stop inside the repeated parts 2, 2 and 1, 1."""
     parts = (17, 12, 9, 8, 6, 5, 4, 3, 2, 2, 1, 1)
@@ -159,7 +263,9 @@ def test_network_has_cover_arcs_only():
     p = tamari_poset("b", 5)
     net = _ChainNetwork(p).net
     assert len(p.covers) == 630
-    assert len(net.to) // 2 == 4 * 252 + 630
+    assert p.maximal_elements() == [251]
+    # per element a source, profit and bypass arc; one sink arc, at the top
+    assert len(net.to) // 2 == 3 * 252 + 1 + 630
 
 
 def test_full_phases_keep_unit_arcs_binary():
