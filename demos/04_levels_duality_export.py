@@ -2,12 +2,14 @@
 
 Leveled elements (those on a maximum-length chain) sit exactly at the sum
 of their entries with inf counted as n; the lattice as a whole is not
-self-dual, but its leveled core is.  DOT export draws the diagrams with
-one rank per level.
+self-dual, but its leveled core is, by the explicit map ``dual_vector``
+that complements each entry and reverses their order.  DOT export draws
+the diagrams with one rank per level.
 """
 
 from tamari import (
     INF,
+    dual_vector,
     entry_sum,
     find_isomorphism,
     format_vector,
@@ -31,15 +33,27 @@ for v in [(0, 0, 1, 0), (0, 0, 3, INF), (INF,) * 4]:
 
 # Duality: reversing the order gives a different poset (count covers of the
 # bottom element versus its dual), yet the leveled subposet maps onto its
-# own reversal.
+# own reversal.  The search finds such a map on the induced subposet ...
 print("\n== duality ==")
 for n in (3, 4, 5):
     p = tamari_poset("b", n)
     whole = find_isomorphism(p, p.dual())
-    sub = p.leveled_subposet().poset
+    sub = p.induced(p.leveled_subposet().members)
     core = find_isomorphism(sub, sub.dual())
     print(f"  n={n}: whole lattice self-dual: {whole is not None};"
           f" leveled core self-dual: {core is not None}")
+
+# ... and it is the explicit map phi(v) = (c(v[n-1]), ..., c(v[0])) with
+# c(0) = inf, c(inf) = 0 and c(x) = n - x, which reverses the componentwise
+# order of all vectors.  It sends leveled elements to leveled elements:
+p = tamari_poset("b", 4)
+leveled = {p.labels[m] for m in p.leveled_subposet().members}
+for v in [(0, 0, 0, 0), (0, 0, 1, 2), (0, 1, INF, INF), (1, 2, 3, INF)]:
+    image = dual_vector(v)
+    print(f"  phi{format_vector(v):16s} = {format_vector(image):16s}"
+          f" leveled: {v in leveled} -> {image in leveled}")
+print(f"  phi maps all {len(leveled)} leveled elements of T_4^B onto themselves:"
+      f" {set(map(dual_vector, leveled)) == leveled}")
 
 # At n=5 the leveled core's level sizes (six 1s, four 2s, the rest larger)
 # show where a third long chain would have room.

@@ -66,6 +66,7 @@ from .theorems import (
     VERIFIED,
     VerificationReport,
     antichain_partition,
+    dual_vector,
     first_chain,
     second_chain,
     shifted_level_map,
@@ -118,6 +119,7 @@ __all__ = [
     "VERIFIED",
     "VerificationReport",
     "antichain_partition",
+    "dual_vector",
     "first_chain",
     "second_chain",
     "shifted_level_map",

@@ -121,6 +121,17 @@ def _closure(adjacent: list[list[int]], order: Iterable[int]) -> list[int]:
     return rows
 
 
+def _closed_along(adjacent: list[list[int]], extension: Sequence[int]) -> list[int]:
+    """Down rows renumbered along ``extension``, so bit q of row p is set
+    iff ``extension[q]`` lies below ``extension[p]``: each element's lower
+    neighbours ``adjacent``, which the extension lists first, renumbered and
+    closed again, cheaper than reselecting every closed row bit by bit."""
+    at = [0] * len(adjacent)
+    for i, v in enumerate(extension):
+        at[v] = i
+    return _closure([[at[u] for u in adjacent[v]] for v in extension], range(len(adjacent)))
+
+
 def is_lattice(p: Poset) -> bool:
     """True iff every pair has a unique least upper and greatest lower bound.
 
@@ -132,9 +143,10 @@ def is_lattice(p: Poset) -> bool:
     """
     if len(p.maximal_elements()) != 1:
         return False
-    down = p._down
-    if p._extension != range(p.n):  # renumbered along the poset's extension
-        down = _selected(down, p._extension)
+    if p._extension == range(p.n):
+        down = p._down
+    else:  # renumbered along the poset's extension, closed from the lower covers
+        down = _closed_along(p._cover_lists[1], p._extension)
     for a in range(p.n):
         row = down[a]
         for b in range(a + 1, p.n):
@@ -393,14 +405,17 @@ class LevelAssignment:
 class LeveledSubposet:
     """Elements lying on some maximum-length chain, with their levels.
 
-    ``members`` are indices into the ambient poset (ascending), ``levels``
-    restricts the lowest-level map to them, and ``poset`` is the induced
-    subposet (labels inherited from the ambient poset, in member order).
+    ``members`` are indices into the ambient poset (ascending) and
+    ``levels`` restricts the lowest-level map to them; both are read off
+    the level arrays, with no row.  A caller that needs the induced order
+    builds it with ``p.induced(members)``.  For ``T_n^B`` the ``remarks``
+    claim needs none: the explicit map ``theorems.dual_vector`` reverses the
+    componentwise order of all vectors, so checking that it sends the
+    member vectors onto themselves proves the subposet self-dual.
     """
 
     members: tuple[int, ...]
     levels: dict[int, int] = field(repr=False)
-    poset: "Poset" = field(repr=False)
 
     def level_sizes(self) -> dict[int, int]:
         return dict(sorted(Counter(self.levels[m] for m in self.members).items()))
@@ -483,16 +498,10 @@ class Poset:
         order, cycle = _closing_order(pred)
         if cycle is not None:
             raise _antisymmetry_error(labels, *cycle)
-
-        def closed_along(down: list[int], extension: list[int]) -> list[int]:
-            # the pairs renumbered and closed again, cheaper than reselecting
-            # every closed row bit by bit; the extension lists lower ends first
-            at = [0] * n
-            for i, v in enumerate(extension):
-                at[v] = i
-            return _closure([[at[u] for u in pred[v]] for v in extension], range(n))
-
-        return cls._from_rows(labels, _closure(pred, order), closed_along)
+        # a fallback extension renumbers the pairs themselves, closed again
+        return cls._from_rows(
+            labels, _closure(pred, order), lambda _, extension: _closed_along(pred, extension)
+        )
 
     # -- basic structure ---------------------------------------------------
 
@@ -660,8 +669,8 @@ class Poset:
         raise ValueError(f"unknown level mode {mode!r}")
 
     def leveled_subposet(self) -> LeveledSubposet:
-        """The subposet of elements on a chain of globally maximal length,
-        derived once per poset."""
+        """The elements on a chain of globally maximal length and their
+        levels, derived once per poset from the level arrays."""
         return self._leveled
 
     @cached_property
@@ -669,8 +678,7 @@ class Poset:
         low, up = self._level_arrays
         top = max(low)
         members = tuple(v for v in range(self.n) if low[v] + up[v] == top)
-        levels = {v: low[v] for v in members}
-        return LeveledSubposet(members, levels, self.induced(members))
+        return LeveledSubposet(members, {v: low[v] for v in members})
 
     # -- derived posets ------------------------------------------------------
 

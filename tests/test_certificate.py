@@ -251,7 +251,7 @@ def test_valid_inputs_never_multiply_matrices(monkeypatch):
                 assert p.dual().covers == sorted((v, u) for u, v in p.covers)
                 sub = p.induced(range(0, p.n, 2))
                 assert (sub.cover_matrix == dense_covers(sub.leq_matrix)).all()
-                assert p.leveled_subposet().poset.longest_chain_length() == (
+                assert p.induced(p.leveled_subposet().members).longest_chain_length() == (
                     p.longest_chain_length()
                 )
         reports = verify_claims("all", [4, 5])

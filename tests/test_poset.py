@@ -262,7 +262,8 @@ def test_t4b_not_isomorphic_to_dual():
 
 
 def test_t4b_leveled_subposet_is_self_dual():
-    sub = tamari_poset("b", 4).leveled_subposet().poset
+    p = tamari_poset("b", 4)
+    sub = p.induced(p.leveled_subposet().members)
     assert is_isomorphic(sub, sub.dual())
 
 

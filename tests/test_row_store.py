@@ -299,7 +299,7 @@ def test_tamari_orders_match_the_up_row_store(kind, n):
     assert r._cover_lists is q._cover_lists and r._extension is q._extension
     # the leveled subposet is certified from the selected rows
     members = list(p.leveled_subposet().members)
-    check_store(p.leveled_subposet().poset, _selected(up, members))
+    check_store(p.induced(members), _selected(up, members))
 
 
 def test_triangular_rows_take_at_most_six_tenths_of_the_up_rows():

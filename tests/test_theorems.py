@@ -1,3 +1,4 @@
+import itertools
 import json
 import random
 
@@ -16,8 +17,10 @@ from tamari import (
     VerificationReport,
     antichain_partition,
     chain_union_sizes,
+    dual_vector,
     entry_sum,
     enumerate_type_b,
+    find_isomorphism,
     first_chain,
     format_vector,
     is_lattice,
@@ -415,12 +418,28 @@ def test_structure_refutes_a_self_dual_t_n_b(monkeypatch):
 
 
 def test_structure_refutes_a_leveled_core_with_no_isomorphism(monkeypatch):
-    monkeypatch.setattr(tamari.theorems, "find_isomorphism", lambda p, q: None)
-    duality, core, _ = verify_structure(3)
+    # drop one member whose image is another member: that member's preimage
+    # is then the one member whose image left the set
+    n = 4
+    p = tamari_poset("b", n)
+    members = p.leveled_subposet().members
+    gone = next(m for m in members[len(members) // 3 :] if dual_vector(p.labels[m]) != p.labels[m])
+    leveled_subposet = Poset.leveled_subposet
+
+    def without_one(self):
+        real = leveled_subposet(self)
+        kept = tuple(m for m in real.members if m != gone)
+        return LeveledSubposet(kept, {m: real.levels[m] for m in kept})
+
+    monkeypatch.setattr(Poset, "leveled_subposet", without_one)
+    duality, core, _ = verify_structure(n)
     assert duality.status == VERIFIED and duality.data == {"self_dual": False}
     assert (core.claim, core.status) == ("remarks.leveled_self_duality", REFUTED)
-    assert core.witness == {"reason": "exhaustive search found no order isomorphism"}
+    witness = {"member": format_vector(dual_vector(p.labels[gone])),
+               "image": format_vector(p.labels[gone])}
+    assert core.witness == witness
     assert core.data is None
+    assert json.loads(dumps_report(core))["witness"] == witness
 
 
 def test_structure_refutes_the_leveled_level_sizes_at_n5(monkeypatch):
@@ -428,7 +447,7 @@ def test_structure_refutes_the_leveled_level_sizes_at_n5(monkeypatch):
 
     def one_level(self):
         real = leveled_subposet(self)
-        return LeveledSubposet(real.members, dict.fromkeys(real.members, 0), real.poset)
+        return LeveledSubposet(real.members, dict.fromkeys(real.members, 0))
 
     monkeypatch.setattr(Poset, "leveled_subposet", one_level)
     *_, sizes = verify_structure(5)
@@ -609,20 +628,74 @@ def test_larger_tamari_posets_are_lattices(kind, n):
     assert is_lattice(tamari_poset(kind, n))
 
 
-def test_verify_claims_induces_the_leveled_subposet_once(monkeypatch):
-    calls = []
-    induced = Poset.induced
-
-    def counting(self, indices):
-        calls.append(self.n)
-        return induced(self, indices)
-
-    monkeypatch.setattr(Poset, "induced", counting)
+def test_verify_claims_induces_no_subposet(monkeypatch):
+    # the leveled remark maps vectors; only T_n^B against its dual is searched
+    induced, searched = [], []
+    search = tamari.theorems.find_isomorphism
+    monkeypatch.setattr(Poset, "induced", lambda self, indices: induced.append(self.n))
+    monkeypatch.setattr(tamari.theorems, "find_isomorphism",
+                        lambda p, q: searched.append((p, q)) or search(p, q))
     tamari_poset.cache_clear()
     try:
-        for n in (4, 5):
-            calls.clear()
-            verify_claims("all", [n])
-            assert len(calls) == 1
+        for n in range(2, 8):
+            searched.clear()
+            reports = verify_claims("all", [n])
+            assert all(r.status != REFUTED for r in reports)
+            p = tamari_poset("b", n)
+            assert [(a is p, b.n, b.covers) for a, b in searched] == [
+                (True, p.n, sorted((v, u) for u, v in p.covers))
+            ]
+        assert induced == []
     finally:
         tamari_poset.cache_clear()
+
+
+# -- the leveled remark's certificate: the explicit anti-automorphism --------------------
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_dual_vector_is_an_order_reversing_involution(n):
+    chain = [*range(n), INF]
+    vectors = list(itertools.product(chain, repeat=n))
+    images = [dual_vector(v) for v in vectors]
+    assert set(images) == set(vectors)
+    assert all(dual_vector(w) == v for v, w in zip(vectors, images))
+    for u, fu in zip(vectors, images):
+        for v, fv in zip(vectors, images):
+            assert leq_componentwise(u, v) == leq_componentwise(fv, fu)
+
+
+def test_dual_vector_reverses_the_order_of_t4b():
+    p = tamari_poset("b", 4)
+    images = [dual_vector(v) for v in p.labels]
+    for i, fi in enumerate(images):
+        assert dual_vector(fi) == p.labels[i]
+        for j, fj in enumerate(images):
+            assert p.leq(i, j) == leq_componentwise(fj, fi)
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_leveled_certificate_is_the_search_answer(n):
+    # the search stays as the reference: it finds the same map, and the map
+    # sends the induced order's covers onto its dual's
+    p = tamari_poset("b", n)
+    _, core, _ = verify_structure(n)
+    sub = p.induced(p.leveled_subposet().members)
+    iso = core.data["isomorphism"]
+    assert core.status == VERIFIED and core.data["members"] == sub.n
+    assert iso == find_isomorphism(sub, sub.dual())
+    assert sorted(iso) == list(range(sub.n))
+    assert sorted((iso[u], iso[v]) for u, v in sub.covers) == sub.dual().covers
+    assert all(dual_vector(sub.labels[i]) == sub.labels[iso[i]] for i in range(sub.n))
+
+
+def test_dual_vector_maps_the_leveled_set_of_t8b_onto_itself(monkeypatch):
+    # past the poset cap, built directly from the enumerated vectors
+    p = Poset.from_vectors(enumerate_type_b(8))
+    leveled = {p.labels[m] for m in p.leveled_subposet().members}
+    assert len(leveled) == 704 == (8 + 3) * 2 ** (8 - 2)
+    assert {dual_vector(v) for v in leveled} == leveled
+    monkeypatch.setattr(tamari.theorems, "tamari_poset", lambda kind, m: p)
+    duality, core, _ = verify_structure(8)
+    assert duality.status == VERIFIED and duality.data == {"self_dual": False}
+    assert core.status == VERIFIED and core.data["members"] == 704
