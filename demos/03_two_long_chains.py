@@ -7,12 +7,11 @@ antichains with five singletons shows nothing larger is possible.
 """
 
 from tamari import (
-    antichain_partition,
     first_chain,
     format_vector,
     second_chain,
+    shifted_level_map,
     tamari_poset,
-    verify_disjoint,
     verify_lambda2,
 )
 
@@ -29,14 +28,17 @@ print("   ", ", ".join(format_vector(v) for v in sc))
 # brings the gap down to the five the bound allows.
 scp = second_chain(n, with_prefix=True)
 print(f"  with the prefix {format_vector(scp[0])} it grows to {len(scp)} elements")
-print("  disjoint?", verify_disjoint(fc, scp).status)
+# The thm1 certificate checks, among the rest, that the two chains share
+# no element.
+report = verify_lambda2(n)
+print("  disjoint?", report.status)
 
 # The upper bound: place every element at its lowest level, then shift all
 # unleveled elements up one.  Every fiber stays an antichain and the fiber
 # count is exactly n^2 + 1, five of them singletons.
 print(f"\n== antichain partition at n={n} ==")
 p = tamari_poset("b", n)
-fibers = antichain_partition(n).fibers()
+fibers = shifted_level_map(p).fibers()
 print(f"  {len(fibers)} antichain fibers; sizes by level:")
 for level, members in fibers.items():
     names = ", ".join(format_vector(p.labels[i]) for i in members)
@@ -47,6 +49,8 @@ for level, members in fibers.items():
 # which is exactly what the two chains collect.
 bound = sum(min(len(m), 2) for m in fibers.values())
 print(f"  two-chain bound from the fibers: {bound} = {len(fc)} + {len(scp)}")
+lam = report.data["lambda"]
+print(f"  the certificate's bounds: {lam[0]} fibers, {sum(lam)} for two chains")
 
 # The machine check proves thm1 from exactly this certificate (every fiber
 # an antichain, chain validity, disjointness, both bounds reached), with no

@@ -7,6 +7,8 @@ that complements each entry and reverses their order.  DOT export draws
 the diagrams with one rank per level.
 """
 
+from collections import Counter
+
 from tamari import (
     INF,
     dual_vector,
@@ -38,7 +40,7 @@ print("\n== duality ==")
 for n in (3, 4, 5):
     p = tamari_poset("b", n)
     whole = find_isomorphism(p, p.dual())
-    sub = p.induced(p.leveled_subposet().members)
+    sub = p.induced(p.leveled_elements())
     core = find_isomorphism(sub, sub.dual())
     print(f"  n={n}: whole lattice self-dual: {whole is not None};"
           f" leveled core self-dual: {core is not None}")
@@ -47,7 +49,7 @@ for n in (3, 4, 5):
 # c(0) = inf, c(inf) = 0 and c(x) = n - x, which reverses the componentwise
 # order of all vectors.  It sends leveled elements to leveled elements:
 p = tamari_poset("b", 4)
-leveled = {p.labels[m] for m in p.leveled_subposet().members}
+leveled = {p.labels[m] for m in p.leveled_elements()}
 for v in [(0, 0, 0, 0), (0, 0, 1, 2), (0, 1, INF, INF), (1, 2, 3, INF)]:
     image = dual_vector(v)
     print(f"  phi{format_vector(v):16s} = {format_vector(image):16s}"
@@ -57,10 +59,10 @@ print(f"  phi maps all {len(leveled)} leveled elements of T_4^B onto themselves:
 
 # At n=5 the leveled core's level sizes (six 1s, four 2s, the rest larger)
 # show where a third long chain would have room.
-sizes = tamari_poset("b", 5).leveled_subposet().level_sizes()
-histogram: dict[int, int] = {}
-for s in sizes.values():
-    histogram[s] = histogram.get(s, 0) + 1
+p = tamari_poset("b", 5)
+low = p.level_map("lowest")
+sizes = Counter(low[m] for m in p.leveled_elements())
+histogram = Counter(sizes.values())
 print("  n=5 leveled level-size histogram:", dict(sorted(histogram.items())))
 
 # The name "lattice" is earned: every pair has a meet and a join.

@@ -53,7 +53,6 @@ from .gk import (
 from .lattices import tamari_poset
 from .poset import (
     LevelAssignment,
-    LeveledSubposet,
     Poset,
     PosetError,
     find_isomorphism,
@@ -65,13 +64,11 @@ from .theorems import (
     SKIPPED,
     VERIFIED,
     VerificationReport,
-    antichain_partition,
     dual_vector,
     first_chain,
     second_chain,
     shifted_level_map,
     verify_claims,
-    verify_disjoint,
     verify_lambda2,
     verify_level_sums,
     verify_structure,
@@ -108,7 +105,6 @@ __all__ = [
     "oracle_max_antichain",
     "tamari_poset",
     "LevelAssignment",
-    "LeveledSubposet",
     "Poset",
     "PosetError",
     "find_isomorphism",
@@ -118,13 +114,11 @@ __all__ = [
     "SKIPPED",
     "VERIFIED",
     "VerificationReport",
-    "antichain_partition",
     "dual_vector",
     "first_chain",
     "second_chain",
     "shifted_level_map",
     "verify_claims",
-    "verify_disjoint",
     "verify_lambda2",
     "verify_level_sums",
     "verify_structure",

@@ -21,14 +21,16 @@ source's covers, levels, built rows and extension, reversed, and builds its
 other rows when read.  The dense numpy views (``leq_matrix``,
 ``cover_matrix``), kept for tests and oracles, are the only code that
 imports numpy.  Everything here is immutable after construction and safe to
-share between threads.
+share between threads.  The level views are the lowest and shifted maps and
+the list of leveled elements, those on a maximum chain, all read off one
+longest-path pass each way along the covers.
 """
 
 from __future__ import annotations
 
 import sys
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, reduce
 from itertools import chain
 from numbers import Integral
@@ -382,10 +384,9 @@ def _componentwise_rows(vectors: list) -> list[int]:
 class LevelAssignment:
     """A map element index -> level whose fibers partition into antichains.
 
-    ``mode`` is one of ``"lowest"`` (longest chain up from a minimal
-    element), ``"highest"`` (mirrored from the top so that elements on a
-    maximum chain keep the same level in both modes) or ``"shifted"`` (the
-    lowest map with every unleveled element raised by one).
+    ``mode`` is ``"lowest"`` (longest chain up from a minimal element) or
+    ``"shifted"`` (the lowest map with every unleveled element, one on no
+    maximum chain, raised by one).
     """
 
     levels: tuple[int, ...]
@@ -399,26 +400,6 @@ class LevelAssignment:
         for i, lv in enumerate(self.levels):
             out.setdefault(lv, []).append(i)
         return dict(sorted(out.items()))
-
-
-@dataclass(frozen=True)
-class LeveledSubposet:
-    """Elements lying on some maximum-length chain, with their levels.
-
-    ``members`` are indices into the ambient poset (ascending) and
-    ``levels`` restricts the lowest-level map to them; both are read off
-    the level arrays, with no row.  A caller that needs the induced order
-    builds it with ``p.induced(members)``.  For ``T_n^B`` the ``remarks``
-    claim needs none: the explicit map ``theorems.dual_vector`` reverses the
-    componentwise order of all vectors, so checking that it sends the
-    member vectors onto themselves proves the subposet self-dual.
-    """
-
-    members: tuple[int, ...]
-    levels: dict[int, int] = field(repr=False)
-
-    def level_sizes(self) -> dict[int, int]:
-        return dict(sorted(Counter(self.levels[m] for m in self.members).items()))
 
 
 class Poset:
@@ -645,11 +626,6 @@ class Poset:
                     up[u] = dv
         return low, up
 
-    def longest_chain_length(self) -> int:
-        """Number of cover steps in a maximum chain (elements minus one)."""
-        low, _ = self._level_arrays
-        return max(low)
-
     def level_map(self, mode: str = "lowest") -> LevelAssignment:
         """The levels of one of :class:`LevelAssignment`'s modes.
 
@@ -658,27 +634,21 @@ class Poset:
         element by one.
         """
         low, up = self._level_arrays
-        top = max(low)
         if mode == "lowest":
             return LevelAssignment(tuple(low), "lowest")
-        if mode == "highest":
-            return LevelAssignment(tuple(top - u for u in up), "highest")
         if mode == "shifted":
+            top = max(low)
             levels = tuple(lv if lv + u == top else lv + 1 for lv, u in zip(low, up))
             return LevelAssignment(levels, "shifted")
         raise ValueError(f"unknown level mode {mode!r}")
 
-    def leveled_subposet(self) -> LeveledSubposet:
-        """The elements on a chain of globally maximal length and their
-        levels, derived once per poset from the level arrays."""
-        return self._leveled
-
-    @cached_property
-    def _leveled(self) -> LeveledSubposet:
+    def leveled_elements(self) -> list[int]:
+        """The elements on a chain of globally maximal length, ascending:
+        those whose longest chains down and up add up to the longest chain,
+        read off the level arrays with no row."""
         low, up = self._level_arrays
         top = max(low)
-        members = tuple(v for v in range(self.n) if low[v] + up[v] == top)
-        return LeveledSubposet(members, {v: low[v] for v in members})
+        return [v for v in range(self.n) if low[v] + up[v] == top]
 
     # -- derived posets ------------------------------------------------------
 

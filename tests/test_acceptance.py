@@ -6,6 +6,7 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines.
 import random
 import subprocess
 import sys
+from collections import Counter
 from math import comb
 
 import pytest
@@ -26,9 +27,9 @@ from tamari import (
     oracle_chain_union,
     oracle_max_antichain,
     second_chain,
+    shifted_level_map,
     tamari_poset,
 )
-from tamari.theorems import antichain_partition
 
 EXPECTED_TYPE_B_COUNTS = {1: 2, 2: 6, 3: 20, 4: 70, 5: 252}
 EXPECTED_CATALAN = {1: 1, 2: 2, 3: 5, 4: 14, 5: 42}
@@ -105,7 +106,7 @@ def test_criterion_05_level_sums():
     for n in range(2, 6):
         p = tamari_poset("b", n)
         low = p.level_map("lowest").levels
-        members = set(p.leveled_subposet().members)
+        members = set(p.leveled_elements())
         for i, label in enumerate(p.labels):
             if i in members:
                 assert low[i] == entry_sum(label), (n, label)
@@ -118,7 +119,7 @@ def test_criterion_05_level_sums():
 def test_criterion_06_antichain_partition():
     for n in (4, 5):
         p = tamari_poset("b", n)
-        fibers = antichain_partition(n).fibers()
+        fibers = shifted_level_map(p).fibers()
         assert len(fibers) == n * n + 1
         singles = {lv: members[0] for lv, members in fibers.items() if len(members) == 1}
         assert len(singles) == 5
@@ -138,10 +139,12 @@ def test_criterion_06_antichain_partition():
 
 def test_criterion_07_leveled_structure():
     p4 = tamari_poset("b", 4)
-    members = {p4.labels[i] for i in p4.leveled_subposet().members}
+    members = {p4.labels[i] for i in p4.leveled_elements()}
     assert len(members) == 28
     assert members == set(first_chain(4)) | set(second_chain(4))
-    sizes = list(tamari_poset("b", 5).leveled_subposet().level_sizes().values())
+    p5 = tamari_poset("b", 5)
+    low = p5.level_map("lowest")
+    sizes = list(Counter(low[m] for m in p5.leveled_elements()).values())
     assert sizes.count(1) == 6 and sizes.count(2) == 4
     report(7, "T_4^B has exactly the 28 leveled elements of the two chains; "
               "T_5^B leveled levels show six singletons and four pairs")
@@ -153,7 +156,7 @@ def test_criterion_08_duality():
         assert not is_isomorphic(p, p.dual()), f"T_{n}^B claimed self-dual"
     for n in (2, 3, 4, 5):
         p = tamari_poset("b", n)
-        sub = p.induced(p.leveled_subposet().members)
+        sub = p.induced(p.leveled_elements())
         assert is_isomorphic(sub, sub.dual()), f"leveled T_{n}^B not self-dual"
     report(8, "T_n^B is not self-dual for n = 3,4,5 while its leveled subposet "
               "is self-dual for n = 2..5")

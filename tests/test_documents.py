@@ -64,7 +64,7 @@ def test_duplicate_label_in_a_t10b_sized_listing_is_found():
 
 def test_tamari_document_with_levels_still_reads_back():
     p = tamari_poset("b", 3)
-    doc = json.loads(json.dumps(poset_document(p, levels=p.level_map("highest"))))
+    doc = json.loads(json.dumps(poset_document(p, levels=p.level_map("shifted"))))
     q = document_to_poset(doc)
     assert q.labels == doc["elements"]
     assert q.covers == p.covers

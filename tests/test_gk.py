@@ -194,7 +194,7 @@ def test_flow_matches_oracle_on_small_corpus():
             assert sizes[k - 1] == oracle_chain_union(p, k)
         part = gk_partition(p)
         assert part.size == p.n
-        assert part.parts[0] == p.longest_chain_length() + 1
+        assert part.parts[0] == max(p.level_map().levels) + 1
         assert conjugate_partition(part.parts)[0] == oracle_max_antichain(p)
 
 

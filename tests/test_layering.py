@@ -2,7 +2,7 @@
 
 - The order's bitset up-set and down-set rows, their componentwise build
   (``Poset.from_vectors``), the lattice test on them and the level views
-  (lowest, highest, shifted, the leveled subposet): ``poset.py``.
+  (the lowest and shifted maps, the leveled elements): ``poset.py``.
 - The flow network's paired forward and residual arcs (``adj``, ``to``,
   ``cap``): ``flow.py``; ``gk.py`` asks it for paths and potentials.
 

@@ -243,7 +243,7 @@ def test_first_comparable_pair_matches_dense_fiber_check():
 
 def test_level_fibers_are_antichains_by_both_checks():
     for p in SAMPLES:
-        for mode in ("lowest", "highest"):
+        for mode in ("lowest", "shifted"):
             for members in p.level_map(mode).fibers().values():
                 assert p.first_comparable_pair(members) is None
                 assert dense_first_comparable_pair(p, members) is None
@@ -251,9 +251,9 @@ def test_level_fibers_are_antichains_by_both_checks():
 
 def reference_shifted_levels(p: Poset) -> tuple[int, ...]:
     """The shifted map as it was built outside the store: lowest levels,
-    every element off the leveled subposet raised by one."""
+    every element off the leveled elements raised by one."""
     low = p.level_map("lowest").levels
-    members = set(p.leveled_subposet().members)
+    members = set(p.leveled_elements())
     return tuple(lv if i in members else lv + 1 for i, lv in enumerate(low))
 
 
@@ -372,7 +372,7 @@ def test_posets_keep_rows_not_matrices():
         Poset.from_predicate(list("abc"), lambda a, b: a <= b),
         p.dual(),
         p.induced(range(0, p.n, 3)),
-        p.induced(p.leveled_subposet().members),
+        p.induced(p.leveled_elements()),
     ]
     for q in built + [tamari_poset.__wrapped__("a", 5)]:
         assert _arrays(q) == []
@@ -430,7 +430,7 @@ def test_isomorphism_matches_networkx_on_random_posets():
 def test_isomorphism_matches_networkx_on_tamari_duals(n):
     p = tamari_poset("b", n)
     check_isomorphism(p, p.dual())
-    sub = p.induced(p.leveled_subposet().members)
+    sub = p.induced(p.leveled_elements())
     check_isomorphism(sub, sub.dual())
 
 
@@ -474,7 +474,7 @@ def test_refinement_round_splits_the_histograms(monkeypatch):
         )
 
     def chain_lengths(r):
-        return sorted(zip(r.level_map("lowest").levels, r.level_map("highest").levels))
+        return sorted(zip(*r._level_arrays))
 
     assert first_colours(p) == first_colours(q)
     assert chain_lengths(p) == chain_lengths(q)

@@ -1,5 +1,6 @@
 import random
 import sys
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from tamari import (
     INF,
     Poset,
     PosetError,
+    enumerate_type_b,
     find_isomorphism,
     is_isomorphic,
     leq_componentwise,
@@ -22,7 +24,7 @@ from tamari.theorems import shifted_level_map, verify_structure
 def test_singleton_has_no_covers():
     p = Poset.from_predicate(["x"], lambda a, b: True)
     assert p.covers == []
-    assert p.longest_chain_length() == 0
+    assert max(p.level_map().levels) == 0
 
 
 def test_total_order_reduces_to_consecutive_covers(chain_poset):
@@ -30,8 +32,6 @@ def test_total_order_reduces_to_consecutive_covers(chain_poset):
 
 
 def test_t2b_from_predicate():
-    from tamari import enumerate_type_b
-
     p = Poset.from_predicate(enumerate_type_b(2), leq_componentwise)
     assert p.n == 6
     assert p.minimal_elements() == [p.index((0, 0))]
@@ -81,14 +81,15 @@ def test_cyclic_covers_rejected():
 
 @pytest.mark.parametrize("n,expected", [(2, 4), (4, 16)])
 def test_longest_chain_length_tnb(n, expected):
-    assert tamari_poset("b", n).longest_chain_length() == expected
+    assert max(tamari_poset("b", n).level_map().levels) == expected
 
 
 def test_level_map_modes(chain_poset):
     assert chain_poset.level_map("lowest").levels == (0, 1, 2)
-    assert chain_poset.level_map("highest").levels == (0, 1, 2)
-    with pytest.raises(ValueError):
-        chain_poset.level_map("sideways")
+    assert chain_poset.level_map("shifted").levels == (0, 1, 2)
+    for mode in ("sideways", "highest"):
+        with pytest.raises(ValueError):
+            chain_poset.level_map(mode)
 
 
 def test_level_map_antichain_plus_bottom():
@@ -101,7 +102,7 @@ def test_level_of_small_unleveled_element():
     assert p.level_map("lowest")[p.index((0, 0, 1, 0))] == 1
 
 
-@pytest.mark.parametrize("mode", ["lowest", "highest"])
+@pytest.mark.parametrize("mode", ["lowest", "shifted"])
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_fibers_are_antichains(n, mode):
     p = tamari_poset("b", n)
@@ -111,13 +112,23 @@ def test_fibers_are_antichains(n, mode):
                 assert a == b or not p.leq(a, b)
 
 
-@pytest.mark.parametrize("n", [2, 3, 4])
+def _leveled_by_the_maps(p):
+    lowest, shifted = p.level_map("lowest").levels, p.level_map("shifted").levels
+    return [v for v in range(p.n) if lowest[v] == shifted[v]]
+
+
+@pytest.mark.parametrize("n", range(1, 8))
 def test_leveled_elements_agree_in_both_modes(n):
-    p = tamari_poset("b", n)
-    low = p.level_map("lowest")
-    high = p.level_map("highest")
-    for v in p.leveled_subposet().members:
-        assert low[v] == high[v]
+    for kind in "ab":
+        p = tamari_poset(kind, n)
+        assert p.leveled_elements() == _leveled_by_the_maps(p)
+
+
+def test_leveled_elements_agree_in_both_modes_on_random_posets():
+    rng = random.Random(32)
+    for _ in range(40):
+        p = random_poset(rng, rng.randint(1, 12))
+        assert p.leveled_elements() == _leveled_by_the_maps(p)
 
 
 def test_lowest_level_recursion():
@@ -135,8 +146,8 @@ def test_lowest_level_recursion():
 
 
 def _longest_path_levels(p: Poset) -> dict[str, tuple[int, ...]]:
-    """All three level maps from longest chains over the strict relation,
-    walked in ascending order of the number of elements below."""
+    """Both level maps from longest chains over the strict relation, walked
+    in ascending order of the number of elements below."""
     strict = p.leq_matrix & ~np.eye(p.n, dtype=bool)
     order = sorted(range(p.n), key=lambda v: int(strict[:, v].sum()))
     below, above = [0] * p.n, [0] * p.n
@@ -147,7 +158,6 @@ def _longest_path_levels(p: Poset) -> dict[str, tuple[int, ...]]:
     top = max(below)
     return {
         "lowest": tuple(below),
-        "highest": tuple(top - a for a in above),
         "shifted": tuple(b if b + a == top else b + 1 for b, a in zip(below, above)),
     }
 
@@ -171,25 +181,41 @@ def test_level_maps_are_longest_paths():
 def test_level_maps_build_no_down_rows():
     p = tamari_poset.__wrapped__("b", 5)  # a fresh poset, not the cached one
     shifted_level_map(p)
-    p.level_map("highest")
+    p.leveled_elements()
     assert "_up" not in vars(p)
 
 
-# -- leveled subposet ----------------------------------------------------------------
+# -- leveled elements ----------------------------------------------------------------
 
 
 def test_total_order_is_fully_leveled(chain_poset):
-    assert chain_poset.leveled_subposet().members == (0, 1, 2)
+    assert chain_poset.leveled_elements() == [0, 1, 2]
 
 
 def test_t4b_leveled_members_count():
-    assert len(tamari_poset("b", 4).leveled_subposet().members) == 28
+    assert len(tamari_poset("b", 4).leveled_elements()) == 28
 
 
 def test_t5b_leveled_level_size_histogram():
-    sizes = list(tamari_poset("b", 5).leveled_subposet().level_sizes().values())
+    p = tamari_poset("b", 5)
+    low = p.level_map("lowest")
+    sizes = list(Counter(low[m] for m in p.leveled_elements()).values())
     assert sizes.count(1) == 6
     assert sizes.count(2) == 4
+
+
+def test_leveled_element_counts_of_tamari_b():
+    # (n + 3) 2^(n - 2) for n = 2..8; T_8^B is past the poset cap of tamari_poset
+    counts = [len(tamari_poset("b", n).leveled_elements()) for n in range(2, 8)]
+    counts.append(len(Poset.from_vectors(enumerate_type_b(8)).leveled_elements()))
+    assert counts == [(n + 3) * 2 ** (n - 2) for n in range(2, 9)]
+    assert counts == [5, 12, 28, 64, 144, 320, 704]
+
+
+def test_leveled_element_counts_of_tamari_a():
+    # computed data for n = 1..7, 2^(n - 1) each; no theorem is claimed
+    counts = [len(tamari_poset("a", n).leveled_elements()) for n in range(1, 8)]
+    assert counts == [1, 2, 4, 8, 16, 32, 64]
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
@@ -197,10 +223,9 @@ def test_leveled_subposet_cover_structure(n):
     """Non-extreme members must cover a member one level down and be covered
     one level up, within the induced order."""
     p = tamari_poset("b", n)
-    sub = p.leveled_subposet()
-    levels = sub.levels
-    top = max(levels.values())
-    members = sub.members
+    levels = p.level_map("lowest")
+    members = p.leveled_elements()
+    top = max(levels[m] for m in members)
     for v in members:
         if levels[v] < top:
             assert any(
@@ -263,7 +288,7 @@ def test_t4b_not_isomorphic_to_dual():
 
 def test_t4b_leveled_subposet_is_self_dual():
     p = tamari_poset("b", 4)
-    sub = p.induced(p.leveled_subposet().members)
+    sub = p.induced(p.leveled_elements())
     assert is_isomorphic(sub, sub.dual())
 
 

@@ -60,7 +60,7 @@ def _walk(start: Vector, end: Vector, positions: Sequence[int],
 
 def _leveled_labels(n: int) -> frozenset[Vector]:
     p = tamari_poset("b", n)
-    return frozenset(p.labels[i] for i in p.leveled_subposet().members)
+    return frozenset(p.labels[i] for i in p.leveled_elements())
 
 
 # -- the reference chains -------------------------------------------------------------

@@ -298,7 +298,7 @@ def test_tamari_orders_match_the_up_row_store(kind, n):
     assert vars(r)["_down"] is vars(q)["_down"] and "_up" not in vars(r)
     assert r._cover_lists is q._cover_lists and r._extension is q._extension
     # the leveled subposet is certified from the selected rows
-    members = list(p.leveled_subposet().members)
+    members = p.leveled_elements()
     check_store(p.induced(members), _selected(up, members))
 
 

@@ -217,7 +217,7 @@ def _assert_same_search(p: Poset, q: Poset) -> None:
 def test_tamari_b_against_dual_matches_reference(n):
     p = tamari_poset("b", n)
     _assert_same_search(p, p.dual())
-    sub = p.induced(p.leveled_subposet().members)
+    sub = p.induced(p.leveled_elements())
     _assert_same_search(sub, sub.dual())
 
 

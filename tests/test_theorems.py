@@ -15,7 +15,6 @@ from tamari import (
     VERIFIED,
     Poset,
     VerificationReport,
-    antichain_partition,
     chain_union_sizes,
     dual_vector,
     entry_sum,
@@ -30,13 +29,13 @@ from tamari import (
     shifted_level_map,
     tamari_poset,
     verify_claims,
-    verify_disjoint,
     verify_lambda2,
     verify_level_sums,
     verify_structure,
 )
 from tamari.io import dumps_report
-from tamari.poset import LevelAssignment, LeveledSubposet
+from tamari.poset import LevelAssignment
+from tamari.theorems import _entry_sums
 from test_flow import T8B_RECORDED
 
 GOLDEN_FIRST_4 = [
@@ -134,43 +133,33 @@ def test_second_chain_elements_valid_and_increasing(n):
 def test_chain_union_is_leveled_subposet(n):
     p = tamari_poset("b", n)
     union = set(first_chain(n)) | set(second_chain(n))
-    members = {p.labels[i] for i in p.leveled_subposet().members}
+    members = {p.labels[i] for i in p.leveled_elements()}
     if n == 4:
         assert union == members
     else:
         assert union <= members  # strictly more leveled elements from n = 5 on
 
 
-# -- disjointness -----------------------------------------------------------------
+# -- disjointness (verify_lambda2 checks it; test_lambda2_refutes_overlapping_chains) --
 
 
 @pytest.mark.parametrize("n", [4, 5, 6])
 def test_chains_disjoint(n):
-    report = verify_disjoint(first_chain(n), second_chain(n, with_prefix=True))
-    assert report.status == VERIFIED
+    fc, sc = first_chain(n), second_chain(n, with_prefix=True)
+    assert not set(fc) & set(sc)
+    assert (len(set(fc)), len(set(sc))) == (n * n + 1, n * n - 4)
 
 
-def test_disjoint_takes_n_from_either_nonempty_chain():
-    chain = first_chain(3)
-    for c1, c2 in (([], chain), (chain, [])):
-        report = verify_disjoint(c1, c2)
-        assert (report.n, report.status) == (3, VERIFIED)
-    assert verify_disjoint([], []).n == 0
+# -- antichain partition: the fibers of the shifted level map --------------------------
 
 
-def test_chain_not_disjoint_from_itself():
-    chain = first_chain(4)
-    report = verify_disjoint(chain, chain)
-    assert report.status == REFUTED
-    assert report.witness
-
-
-# -- antichain partition -------------------------------------------------------------
+def _shifted_fibers(n):
+    return shifted_level_map(tamari_poset("b", n)).fibers()
 
 
 def test_antichain_partition_n4():
     p = tamari_poset("b", 4)
-    fibers = antichain_partition(4).fibers()
+    fibers = _shifted_fibers(4)
     assert len(fibers) == 17
     assert [p.labels[i] for i in fibers[0]] == [(0, 0, 0, 0)]
     assert [p.labels[i] for i in fibers[1]] == [(0, 0, 0, 1)]
@@ -180,20 +169,20 @@ def test_antichain_partition_n4():
 
 
 def test_antichain_partition_n5_singletons():
-    fibers = antichain_partition(5).fibers()
+    fibers = _shifted_fibers(5)
     assert len(fibers) == 26
     assert sum(1 for members in fibers.values() if len(members) == 1) == 5
 
 
 def test_antichain_partition_n2():
-    fibers = antichain_partition(2).fibers()
+    fibers = _shifted_fibers(2)
     assert [len(m) for m in fibers.values()] == [1, 1, 2, 1, 1]
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_shifted_fibers_are_antichains(n):
     p = tamari_poset("b", n)
-    for members in antichain_partition(n).fibers().values():
+    for members in _shifted_fibers(n).values():
         for a in members:
             for b in members:
                 assert a == b or not p.leq(a, b)
@@ -207,6 +196,12 @@ def test_level_sums_verified(n):
     report = verify_level_sums(n)
     assert report.status == VERIFIED
     assert report.claim == "lemma1"
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_entry_sums_agree_with_entry_sum(n):
+    labels = tamari_poset("b", n).labels
+    assert _entry_sums(labels, n) == [entry_sum(v) for v in labels]
 
 
 def test_level_sum_spot_checks():
@@ -381,7 +376,7 @@ def test_lambda2_refutes_chains_short_of_the_two_chain_bound(monkeypatch):
 def test_level_sums_refuted_report_carries_its_witness(monkeypatch, leveled):
     n = 4
     p = tamari_poset("b", n)
-    members = set(p.leveled_subposet().members)
+    members = set(p.leveled_elements())
     x = next(i for i in range(p.n) if (i in members) == leveled)
     # a leveled element must sit at its entry sum, any other at most there
     wrong = entry_sum(p.labels[x]) + 1
@@ -404,6 +399,26 @@ def test_level_sums_refuted_report_carries_its_witness(monkeypatch, leveled):
     }
 
 
+@pytest.mark.parametrize("leveled", [True, False])
+def test_level_sums_below_the_entry_sum_refute_only_a_leveled_element(monkeypatch, leveled):
+    n = 4
+    p = tamari_poset("b", n)
+    members, low = set(p.leveled_elements()), p.level_map("lowest")
+    x = next(i for i in range(p.n) if (i in members) == leveled and low[i] > 0)
+
+    def lower(_, lv):
+        lv[x] -= 1
+
+    _patch_levels(monkeypatch, "lowest", lower)
+    report = verify_level_sums(n)
+    if leveled:
+        assert report.status == REFUTED
+        assert report.witness["element"] == format_vector(p.labels[x])
+        assert report.witness["leveled"] is True
+    else:
+        assert report.status == VERIFIED
+
+
 def test_structure_refutes_a_self_dual_t_n_b(monkeypatch):
     n = 3
     size = tamari_poset("b", n).n
@@ -422,16 +437,11 @@ def test_structure_refutes_a_leveled_core_with_no_isomorphism(monkeypatch):
     # is then the one member whose image left the set
     n = 4
     p = tamari_poset("b", n)
-    members = p.leveled_subposet().members
+    members = p.leveled_elements()
     gone = next(m for m in members[len(members) // 3 :] if dual_vector(p.labels[m]) != p.labels[m])
-    leveled_subposet = Poset.leveled_subposet
-
-    def without_one(self):
-        real = leveled_subposet(self)
-        kept = tuple(m for m in real.members if m != gone)
-        return LeveledSubposet(kept, {m: real.levels[m] for m in kept})
-
-    monkeypatch.setattr(Poset, "leveled_subposet", without_one)
+    leveled_elements = Poset.leveled_elements
+    monkeypatch.setattr(Poset, "leveled_elements",
+                        lambda self: [m for m in leveled_elements(self) if m != gone])
     duality, core, _ = verify_structure(n)
     assert duality.status == VERIFIED and duality.data == {"self_dual": False}
     assert (core.claim, core.status) == ("remarks.leveled_self_duality", REFUTED)
@@ -443,13 +453,10 @@ def test_structure_refutes_a_leveled_core_with_no_isomorphism(monkeypatch):
 
 
 def test_structure_refutes_the_leveled_level_sizes_at_n5(monkeypatch):
-    leveled_subposet = Poset.leveled_subposet
+    def flatten(_, lv):
+        lv[:] = [0] * len(lv)
 
-    def one_level(self):
-        real = leveled_subposet(self)
-        return LeveledSubposet(real.members, dict.fromkeys(real.members, 0))
-
-    monkeypatch.setattr(Poset, "leveled_subposet", one_level)
+    _patch_levels(monkeypatch, "lowest", flatten)
     *_, sizes = verify_structure(5)
     assert (sizes.claim, sizes.status) == ("remarks.leveled_level_sizes", REFUTED)
     assert sizes.witness == {64: 1}  # all 64 members on one level
@@ -479,8 +486,10 @@ def test_antichain_partition_rejects_a_wrong_fiber_count(monkeypatch):
         lv[lv.index(first)] = max(lv) + 1
 
     _patch_shifted_levels(monkeypatch, split)
-    with pytest.raises(RuntimeError, match=f"expected {n * n + 1} fibers, got {n * n + 2}"):
-        antichain_partition(n)
+    report = verify_lambda2(n)
+    assert report.status == REFUTED
+    assert f"first chain has {n * n + 1} elements, but there are {n * n + 2} fibers" in report.witness
+    assert report.data["bounds"][0] == n * n + 2
 
 
 def test_lambda2_skipped_below_hypothesis():
@@ -680,7 +689,7 @@ def test_leveled_certificate_is_the_search_answer(n):
     # sends the induced order's covers onto its dual's
     p = tamari_poset("b", n)
     _, core, _ = verify_structure(n)
-    sub = p.induced(p.leveled_subposet().members)
+    sub = p.induced(p.leveled_elements())
     iso = core.data["isomorphism"]
     assert core.status == VERIFIED and core.data["members"] == sub.n
     assert iso == find_isomorphism(sub, sub.dual())
@@ -692,7 +701,7 @@ def test_leveled_certificate_is_the_search_answer(n):
 def test_dual_vector_maps_the_leveled_set_of_t8b_onto_itself(monkeypatch):
     # past the poset cap, built directly from the enumerated vectors
     p = Poset.from_vectors(enumerate_type_b(8))
-    leveled = {p.labels[m] for m in p.leveled_subposet().members}
+    leveled = {p.labels[m] for m in p.leveled_elements()}
     assert len(leveled) == 704 == (8 + 3) * 2 ** (8 - 2)
     assert {dual_vector(v) for v in leveled} == leveled
     monkeypatch.setattr(tamari.theorems, "tamari_poset", lambda kind, m: p)
